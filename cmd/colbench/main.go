@@ -57,7 +57,7 @@ var experiments = []struct {
 		func(c bench.Config) error { _, err := bench.SharedScan(c); return err }},
 	{"cachereuse", "cache reuse sweep: one session resubmitting a job vs cold runs",
 		func(c bench.Config) error { _, err := bench.CacheReuse(c); return err }},
-	{"vectorized", "vectorized execution sweep: batch eval + vector cache vs scalar (writes BENCH_vectorized.json)",
+	{"vectorized", "vectorized execution sweep: batch eval cold and with a warm vector cache (writes BENCH_vectorized.json)",
 		func(c bench.Config) error {
 			res, err := bench.Vectorized(c)
 			if err != nil {

@@ -70,7 +70,6 @@ func main() {
 		columns = flag.String("columns", "", "comma-separated projection (empty = all columns)")
 		lazy    = flag.Bool("lazy", false, "use lazy record construction for CIF")
 		elide   = flag.Bool("elide", true, "let CIF drop split-directories from footer statistics before scheduling")
-		vect    = flag.Bool("vectorize", true, "evaluate CIF predicates batch-at-a-time over decoded column vectors")
 		cache   = flag.Int64("cache", 0, "session scan-cache budget in bytes; runs the -where clauses as rounds of one cache-backed session")
 		agg     = flag.String("agg", "", `aggregation pushed into the CIF scan, e.g. 'count,min(int0) group by str0'; answered from zone stats and vectors, no records materialized`)
 		explain = flag.Bool("explain", false, "print the cost-based CIF plan (EXPLAIN), run it, and report estimated vs actual pruning per tier")
@@ -232,7 +231,6 @@ func main() {
 		scan.SetPredicate(cconf, pred)
 	}
 	scan.SetElision(cconf, *elide)
-	scan.SetVectorize(cconf, *vect)
 	runScan("CIF", &core.InputFormat{}, cconf, true)
 
 	// The per-format table compares one predicate; additional clauses run
@@ -262,44 +260,44 @@ func main() {
 	// With -explain, plan the CIF scan cost-based, run the chosen plan, and
 	// hold the estimates to account against the run.
 	if *explain {
-		explainScan(fs, model, "/s/cif", proj, pred, *elide, *vect)
+		explainScan(fs, model, "/s/cif", proj, pred, *elide)
 	}
 
 	// With several -where clauses, run them as one shared CIF batch and
 	// compare against each clause scanning solo.
 	if len(preds) > 1 {
-		batchScan(fs, model, "/s/cif", proj, preds, *lazy, *elide, *vect)
+		batchScan(fs, model, "/s/cif", proj, preds, *lazy, *elide)
 	}
 
 	// With a cache budget, run the clauses again as successive rounds of
 	// one long-lived session — cross-batch reuse instead of co-submission.
 	if *cache > 0 && len(preds) > 0 {
-		sessionScan(fs, model, "/s/cif", proj, preds, *lazy, *elide, *vect, *cache)
+		sessionScan(fs, model, "/s/cif", proj, preds, *lazy, *elide, *cache)
 	}
 
 	// With -agg, push the aggregation into the CIF scan and compare against
 	// answering it from materialized records.
 	if *agg != "" {
-		aggScan(fs, model, "/s/cif", *agg, pred, *elide, *vect)
+		aggScan(fs, model, "/s/cif", *agg, pred, *elide)
 	}
 }
 
 // aggScan runs the aggregation pushed into the scan, prints its rows, and
 // compares the modeled cost against a materializing scan that folds the
 // same records after the reader surfaces them.
-func aggScan(fs *hdfs.FileSystem, model sim.CostModel, dataset, aggSrc string, pred scan.Predicate, elide, vect bool) {
+func aggScan(fs *hdfs.FileSystem, model sim.CostModel, dataset, aggSrc string, pred scan.Predicate, elide bool) {
 	a, err := scan.ParseAggregate(aggSrc)
 	check(err)
 
 	res, err := mapred.Run(fs, core.ScanDataset(dataset).
-		Where(pred).Elide(elide).Vectorize(vect).Aggregate(a).AggJob())
+		Where(pred).Elide(elide).Aggregate(a).AggJob())
 	check(err)
 
 	// The materializing baseline: same projection and predicate, records
 	// surfaced to a map function that folds the same state by hand.
 	base := scan.NewAggState(a)
 	baseRes, err := mapred.Run(fs, core.ScanDataset(dataset).
-		Columns(a.Columns(nil)...).Where(pred).Elide(elide).Vectorize(vect).
+		Columns(a.Columns(nil)...).Where(pred).Elide(elide).
 		Job(mapred.MapperFunc(func(_, v any, _ mapred.Emit) error {
 			rec := v.(serde.Record)
 			return base.FoldRecord(scan.Getter(func(col string) (any, error) { return rec.Get(col) }))
@@ -339,12 +337,11 @@ func aggScan(fs *hdfs.FileSystem, model sim.CostModel, dataset, aggSrc string, p
 // explainScan is `colscan -explain`: build the cost-based plan without
 // pinning materialization or sizing, print it, install its choices, run the
 // job, and print the estimated-vs-actual account per pruning tier.
-func explainScan(fs *hdfs.FileSystem, model sim.CostModel, dataset string, proj []string, p scan.Predicate, elide, vect bool) {
+func explainScan(fs *hdfs.FileSystem, model sim.CostModel, dataset string, proj []string, p scan.Predicate, elide bool) {
 	job := core.ScanDataset(dataset).
 		Columns(proj...).
 		Where(p).
 		Elide(elide).
-		Vectorize(vect).
 		Job(mapred.MapperFunc(func(_, _ any, _ mapred.Emit) error { return nil }))
 	cif, ok := job.Input.(*core.InputFormat)
 	if !ok {
@@ -361,20 +358,19 @@ func explainScan(fs *hdfs.FileSystem, model sim.CostModel, dataset string, proj 
 
 // cifJob builds one map-only CIF job over the dataset through the typed
 // builder.
-func cifJob(dataset string, proj []string, p scan.Predicate, lazy, elide, vect bool) *mapred.Job {
+func cifJob(dataset string, proj []string, p scan.Predicate, lazy, elide bool) *mapred.Job {
 	return core.ScanDataset(dataset).
 		Columns(proj...).
 		Where(p).
 		Lazy(lazy).
 		Elide(elide).
-		Vectorize(vect).
 		Job(mapred.MapperFunc(func(_, _ any, _ mapred.Emit) error { return nil }))
 }
 
 // batchScan runs one map-only CIF job per predicate, solo and co-scheduled,
 // printing per-job logical accounting and the batch's shared-read savings.
-func batchScan(fs *hdfs.FileSystem, model sim.CostModel, dataset string, proj []string, preds []scan.Predicate, lazy, elide, vect bool) {
-	job := func(p scan.Predicate) *mapred.Job { return cifJob(dataset, proj, p, lazy, elide, vect) }
+func batchScan(fs *hdfs.FileSystem, model sim.CostModel, dataset string, proj []string, preds []scan.Predicate, lazy, elide bool) {
+	job := func(p scan.Predicate) *mapred.Job { return cifJob(dataset, proj, p, lazy, elide) }
 
 	var soloCharged int64
 	var soloSeconds float64
@@ -426,7 +422,7 @@ func batchScan(fs *hdfs.FileSystem, model sim.CostModel, dataset string, proj []
 // sessionScan runs each predicate as one Submit/Wait round of a long-lived
 // session with the given cache budget — cross-batch reuse, no co-submission
 // — printing per-round cache statistics next to the cost of a cold run.
-func sessionScan(fs *hdfs.FileSystem, model sim.CostModel, dataset string, proj []string, preds []scan.Predicate, lazy, elide, vect bool, cacheBytes int64) {
+func sessionScan(fs *hdfs.FileSystem, model sim.CostModel, dataset string, proj []string, preds []scan.Predicate, lazy, elide bool, cacheBytes int64) {
 	// The vector cache rides the same budget: a round whose batches are all
 	// resident decodes (and reads) nothing at all.
 	session := mapred.NewSession(fs, mapred.SessionOptions{CacheBytes: cacheBytes, VecCacheBytes: cacheBytes})
@@ -436,9 +432,9 @@ func sessionScan(fs *hdfs.FileSystem, model sim.CostModel, dataset string, proj 
 	fmt.Fprintln(tw, "round\twhere\tmatched\tcold charged MB\twarm charged MB\tcache hits\tfrom cache MB\tvec hits\tdecode saved\tmodeled")
 	var coldTotal, warmTotal int64
 	for i, p := range preds {
-		cold, err := mapred.Run(fs, cifJob(dataset, proj, p, lazy, elide, vect))
+		cold, err := mapred.Run(fs, cifJob(dataset, proj, p, lazy, elide))
 		check(err)
-		pend := session.Submit(cifJob(dataset, proj, p, lazy, elide, vect))
+		pend := session.Submit(cifJob(dataset, proj, p, lazy, elide))
 		br, err := session.Wait()
 		check(err)
 		warm, err := pend.Result()

@@ -13,39 +13,31 @@ import (
 	"colmr/internal/workload"
 )
 
-// Vectorized measures the batch execution path: the same scans run
-// record-at-a-time (scan.Spec vectorization off), vectorized cold, and
-// vectorized through a session whose vector cache stays warm across rounds.
-// The sweep crosses predicate selectivity with the column layouts.
+// Vectorized measures the batch execution path: the same scans run cold
+// and through a session whose vector cache stays warm across rounds. The
+// sweep crosses predicate selectivity with the column layouts.
 //
 // The filter column is adversarial to the pruning stack on purpose: str1
 // cycles through vecTagCycle distinct values, so every stats window spans
 // the whole domain (zone maps never prune) and every window contains every
-// value (Bloom filters never prune, the needle is everywhere). Both modes
-// therefore decode the filter column in full over identical bytes — the
-// comparison isolates execution, with pruning and I/O held fixed:
+// value (Bloom filters never prune, the needle is everywhere). Every run
+// therefore decodes the filter column in full:
 //
-//	scalar     one boxed object per value through Predicate.Eval
-//	           (CostModel.StringRate + ValueCost per record);
-//	vectorized the same bytes decoded into flat vectors
-//	           (CostModel.VecRate + VecValueCost per row, VecBatchCost
-//	           per batch) and one VecEval per batch;
-//	warm       rounds 2..VectorizedRounds of a session: the filter
-//	           column's vectors serve from the vec.Cache — no read, no
-//	           decode — visible as VecCacheHits/DecodeSavedValues.
+//	cold  the filter column decoded into flat vectors (CostModel.VecRate +
+//	      VecValueCost per row, VecBatchCost per batch) and one VecEval
+//	      per batch;
+//	warm  rounds 2..VectorizedRounds of a session: the filter column's
+//	      vectors serve from the vec.Cache — no read, no decode — visible
+//	      as VecCacheHits/DecodeSavedValues.
 //
-// The projection is the narrow int0 column, so the comparison is not
-// diluted by projection work common to both modes. The layout dimension
-// spans the regimes: plain and skip-list isolate the decode loop itself;
-// the compressed blocks put a decompression term — identical in both modes
-// — under the ratio, LZO lightly and ZLIB heavily (inflate at 90 MB/s is
-// slower than boxed string decode, so ZLIB's ratio is decompression-bound
-// by construction and stays well under the uncompressed layouts').
+// The projection is the narrow int0 column. The layout dimension spans
+// the regimes: plain and skip-list isolate the decode loop itself; the
+// compressed blocks put a decompression term under it, LZO lightly and
+// ZLIB heavily.
 //
-// Record counts must agree across all modes and rounds; the experiment
-// fails otherwise. The shape test additionally pins the acceptance floor:
-// >= 2x modeled-CPU reduction on the selective string-equality arm at equal
-// charged bytes, and warm rounds saving exactly Records decoded values each.
+// Record counts must agree with a scan-then-filter count and across all
+// rounds; the experiment fails otherwise. The shape test additionally pins
+// warm rounds saving exactly Records decoded values each.
 
 // VectorizedRounds is the number of rounds each warm session runs.
 const VectorizedRounds = 3
@@ -86,24 +78,18 @@ type VectorizedRound struct {
 	DecodeSaved  int64
 }
 
-// VectorizedCell is one (layout, arm) comparison.
+// VectorizedCell is one (layout, arm) measurement.
 type VectorizedCell struct {
 	Layout string
 	Arm    string
-	// Matches is the number of qualifying records (identical in all modes).
+	// Matches is the number of qualifying records (identical in all rounds).
 	Matches int64
-	// Scalar and Vector are the record-at-a-time and cold vectorized costs.
-	Scalar ScanCost
+	// Vector is the cold run's cost.
 	Vector ScanCost
-	// ScalarCPU and VectorCPU are the modeled decode/evaluate seconds the
-	// acceptance ratio is judged on (I/O excluded; charged bytes are equal
-	// by construction).
-	ScalarCPU float64
+	// VectorCPU is the cold run's modeled decode/evaluate seconds (I/O
+	// excluded).
 	VectorCPU float64
-	// CPURatio is ScalarCPU / VectorCPU.
-	CPURatio float64
-	// VecBatches and RowsVectorized are the cold vectorized run's batch
-	// counters.
+	// VecBatches and RowsVectorized are the cold run's batch counters.
 	VecBatches     int64
 	RowsVectorized int64
 	// Warm holds the session rounds (round 1 warms the empty cache).
@@ -129,13 +115,26 @@ func (r *VectorizedResult) Get(layout, arm string) VectorizedCell {
 	return VectorizedCell{}
 }
 
-// vectorizedJob builds one arm's job: filter on str1, project int0, with
-// the execution mode chosen through the typed builder.
-func vectorizedJob(dataset string, pred scan.Predicate, vectorize bool) *mapred.Job {
+// cyclicMatches counts the records among the first n whose str1 tag,
+// cycling through cycle values, satisfies pred: the scan-then-filter
+// answer, computed from the generator.
+func cyclicMatches(n, cycle int64, pred scan.Predicate) int64 {
+	var matches int64
+	for i := int64(0); i < n; i++ {
+		tag := vecTag(i % cycle)
+		ok, err := pred.Eval(scan.Getter(func(string) (any, error) { return tag, nil }))
+		if err == nil && ok {
+			matches++
+		}
+	}
+	return matches
+}
+
+// vectorizedJob builds one arm's job: filter on str1, project int0.
+func vectorizedJob(dataset string, pred scan.Predicate) *mapred.Job {
 	return core.ScanDataset(dataset).
 		Columns("int0").
 		Where(pred).
-		Vectorize(vectorize).
 		Job(mapred.MapperFunc(func(_, v any, emit mapred.Emit) error {
 			_, err := v.(serde.Record).Get("int0")
 			return err
@@ -193,36 +192,29 @@ func Vectorized(cfg Config) (*VectorizedResult, error) {
 			return nil, fmt.Errorf("loading %s: %w", lay.name, err)
 		}
 		for _, arm := range arms {
-			scalar, err := mapred.Run(fs, vectorizedJob(dir, arm.pred, false))
+			cold, err := mapred.Run(fs, vectorizedJob(dir, arm.pred))
 			if err != nil {
-				return nil, fmt.Errorf("%s %s (scalar): %w", lay.name, arm.name, err)
+				return nil, fmt.Errorf("%s %s (cold): %w", lay.name, arm.name, err)
 			}
-			cold, err := mapred.Run(fs, vectorizedJob(dir, arm.pred, true))
-			if err != nil {
-				return nil, fmt.Errorf("%s %s (vectorized): %w", lay.name, arm.name, err)
-			}
-			if cold.Total.RecordsProcessed != scalar.Total.RecordsProcessed {
-				return nil, fmt.Errorf("%s %s: vectorized matched %d records, scalar %d",
-					lay.name, arm.name, cold.Total.RecordsProcessed, scalar.Total.RecordsProcessed)
+			if want := cyclicMatches(n, vecTagCycle, arm.pred); cold.Total.RecordsProcessed != want {
+				return nil, fmt.Errorf("%s %s: vectorized matched %d records, scan-then-filter %d",
+					lay.name, arm.name, cold.Total.RecordsProcessed, want)
 			}
 			cell := VectorizedCell{
 				Layout:         lay.name,
 				Arm:            arm.name,
-				Matches:        scalar.Total.RecordsProcessed,
-				Scalar:         scanCost(scalar.Total, model),
+				Matches:        cold.Total.RecordsProcessed,
 				Vector:         scanCost(cold.Total, model),
-				ScalarCPU:      cpu(scalar.Total),
 				VectorCPU:      cpu(cold.Total),
 				VecBatches:     cold.Total.VecBatches,
 				RowsVectorized: cold.Total.RowsVectorized,
 			}
-			cell.CPURatio = ratio(cell.ScalarCPU, cell.VectorCPU)
 
 			// A fresh session per cell: round 1 warms an empty vector cache,
 			// later rounds must serve the filter column entirely from it.
 			session := mapred.NewSession(fs, mapred.SessionOptions{VecCacheBytes: res.VecCacheBytes})
 			for round := 1; round <= VectorizedRounds; round++ {
-				pending := session.Submit(vectorizedJob(dir, arm.pred, true))
+				pending := session.Submit(vectorizedJob(dir, arm.pred))
 				br, err := session.Wait()
 				if err != nil {
 					return nil, fmt.Errorf("%s %s (warm round %d): %w", lay.name, arm.name, round, err)
@@ -232,7 +224,7 @@ func Vectorized(cfg Config) (*VectorizedResult, error) {
 					return nil, err
 				}
 				if warm.Total.RecordsProcessed != cell.Matches {
-					return nil, fmt.Errorf("%s %s: warm round %d matched %d records, scalar %d",
+					return nil, fmt.Errorf("%s %s: warm round %d matched %d records, cold %d",
 						lay.name, arm.name, round, warm.Total.RecordsProcessed, cell.Matches)
 				}
 				_, hits, saved := mapred.VecStats(br)
@@ -247,15 +239,14 @@ func Vectorized(cfg Config) (*VectorizedResult, error) {
 		}
 	}
 
-	cfg.printf("Vectorized execution sweep: batch evaluation + vector cache vs record-at-a-time (%d records, %d split-directories, filter on cyclic str1 — unprunable by construction — project int0, %d warm rounds, %d MB vector cache)\n",
+	cfg.printf("Vectorized execution sweep: batch evaluation cold and with a warm vector cache (%d records, %d split-directories, filter on cyclic str1 — unprunable by construction — project int0, %d warm rounds, %d MB vector cache)\n",
 		n, vectorizedSplits, VectorizedRounds, res.VecCacheBytes>>20)
 	cfg.table(func(w *tabwriter.Writer) {
-		fmt.Fprintln(w, "layout\tarm\tmatches\tscalar CPU\tvec CPU\tratio\tbatches\trows vec\tcharged MB\twarm CPU (last)\twarm hits\tdecode saved")
+		fmt.Fprintln(w, "layout\tarm\tmatches\tvec CPU\tbatches\trows vec\tcharged MB\twarm CPU (last)\twarm hits\tdecode saved")
 		for _, c := range res.Cells {
 			last := c.Warm[len(c.Warm)-1]
-			fmt.Fprintf(w, "%s\t%s\t%d\t%.4fs\t%.4fs\t%.1fx\t%d\t%d\t%.2f\t%.4fs\t%d\t%d\n",
-				c.Layout, c.Arm, c.Matches,
-				c.ScalarCPU, c.VectorCPU, c.CPURatio,
+			fmt.Fprintf(w, "%s\t%s\t%d\t%.4fs\t%d\t%d\t%.2f\t%.4fs\t%d\t%d\n",
+				c.Layout, c.Arm, c.Matches, c.VectorCPU,
 				c.VecBatches, c.RowsVectorized,
 				float64(c.Vector.ChargedBytes)/(1<<20),
 				last.CPU, last.VecCacheHits, last.DecodeSaved)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"colmr/internal/scan"
 	"colmr/internal/serde"
 )
 
@@ -112,8 +113,7 @@ func TestBloomRoundTripMapKeys(t *testing.T) {
 }
 
 // TestBloomDisabledAbsent: Options.NoBloom writes a section without
-// filters, and pre-bloom sections (CFS2, CFST) parse to filter-less stats
-// — absent filters must behave exactly like today.
+// filters, in the groups and in the aggregate.
 func TestBloomDisabledAbsent(t *testing.T) {
 	schema := serde.String()
 	const n = 100
@@ -142,42 +142,6 @@ func TestBloomDisabledAbsent(t *testing.T) {
 		t.Fatal("NoBloom aggregate carries a filter")
 	}
 
-	// Legacy encoders round-trip without filters (and reject them).
-	zm := newStatsCollector(schema, 25, 0)
-	for i := 0; i < n; i++ {
-		zm.observe(fmt.Sprintf("v%d", i))
-	}
-	zm.cut()
-	for _, enc := range []func() ([]byte, error){
-		func() ([]byte, error) { return appendStatsSection(nil, schema, zm.entries) },
-		func() ([]byte, error) {
-			agg := mergeEntries(zm.entries)
-			return appendStatsSectionV2(nil, schema, agg, zm.entries)
-		},
-	} {
-		blob, err := enc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries, _, err := parseStatsSection(blob, schema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(entries) != len(zm.entries) {
-			t.Fatalf("legacy section decoded %d entries, want %d", len(entries), len(zm.entries))
-		}
-		for i := range entries {
-			if entries[i].st.Bloom != nil {
-				t.Fatal("legacy section decoded a bloom filter")
-			}
-		}
-	}
-	bloomed := newStatsCollector(schema, 0, 1<<12)
-	bloomed.observe("x")
-	bloomed.cut()
-	if _, err := appendStatsSectionV2(nil, schema, &bloomed.entries[0].st, bloomed.entries); err == nil {
-		t.Fatal("CFS2 encoder accepted a bloom-bearing entry")
-	}
 }
 
 // TestBloomAbandonsPastCap: a collector whose distinct count guarantees a
@@ -228,12 +192,15 @@ func TestBloomSaturatedAggregate(t *testing.T) {
 		}
 		entries = append(entries, e)
 	}
-	agg := mergeEntries(entries)
+	var agg scan.ColStats
+	for i := range entries {
+		agg.Merge(&entries[i].st)
+	}
 	if agg.Bloom != nil {
 		t.Fatal("aggregate of 12 overfull one-block filters did not saturate to nil")
 	}
 	// A saturated (nil) filter round-trips as "absent".
-	blob, err := appendStatsSectionV4(nil, schema, agg, entries)
+	blob, err := appendStatsSection(nil, schema, &agg, entries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,10 +218,10 @@ func TestBloomSaturatedAggregate(t *testing.T) {
 	}
 }
 
-// TestDCSLProberBloomConsistency: the key prober and the group Bloom
+// TestDCSLProberBloomConsistency: the batch key prober and the group Bloom
 // filter must agree — wherever the filter refutes a key, the prober (and
 // the materialized map) must report it absent, with or without the bloom
-// fast path. This is the soundness contract evalCtx.HasKey relies on.
+// fast path. This is the soundness contract batch key probes rely on.
 func TestDCSLProberBloomConsistency(t *testing.T) {
 	schema := mapSchema()
 	const n = 150
@@ -276,39 +243,35 @@ func TestDCSLProberBloomConsistency(t *testing.T) {
 
 	probes := append(append([]string(nil), keys...), "absent-a", "absent-b")
 	for _, noBloom := range []bool{false, true} {
-		r, err := NewReaderOpts(f.reader(), schema, ReaderOptions{NoBloom: noBloom}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := statsSource(t, r, "dcsl")
-		kp := r.(KeyProber)
-		for rec := int64(0); rec < n; rec++ {
-			if err := r.SkipTo(rec); err != nil {
+		for _, key := range probes {
+			r, err := NewReaderOpts(f.reader(), schema, ReaderOptions{NoBloom: noBloom}, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-			st, _ := src.GroupStats(rec)
-			if st == nil || st.Bloom == nil {
-				t.Fatalf("record %d: missing group bloom", rec)
+			src := statsSource(t, r, "dcsl")
+			sel := scan.NewSelection(n)
+			answered, err := r.(KeyVecProber).ProbeKeys(key, 0, n, sel, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, key := range probes {
-				has, answered, err := kp.HasKey(key)
-				if err != nil {
-					t.Fatal(err)
+			if !answered {
+				t.Fatalf("noBloom=%v key %q: prober did not answer", noBloom, key)
+			}
+			for rec := int64(0); rec < n; rec++ {
+				st, _ := src.GroupStats(rec)
+				if st == nil || st.Bloom == nil {
+					t.Fatalf("record %d: missing group bloom", rec)
 				}
+				has := sel.Test(int(rec))
 				_, want := vals[rec].(map[string]any)[key]
-				if answered && has != want {
+				if has != want {
 					t.Fatalf("noBloom=%v record %d key %q: prober says %v, map says %v",
 						noBloom, rec, key, has, want)
 				}
-				if !st.Bloom.MayContainString(key) {
-					// Bloom-negative is a proof: the prober must agree.
-					if !answered || has {
-						t.Fatalf("noBloom=%v record %d key %q: bloom refutes but prober answered=%v has=%v",
-							noBloom, rec, key, answered, has)
-					}
-					if want {
-						t.Fatalf("record %d key %q: bloom refutes a present key", rec, key)
-					}
+				// Bloom-negative is a proof: the prober and the map must agree.
+				if !st.Bloom.MayContainString(key) && (has || want) {
+					t.Fatalf("noBloom=%v record %d key %q: bloom refutes but prober has=%v map has=%v",
+						noBloom, rec, key, has, want)
 				}
 			}
 		}

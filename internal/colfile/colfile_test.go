@@ -324,6 +324,13 @@ func TestCorruptFiles(t *testing.T) {
 	if _, err := NewReader(bytes.NewReader(bad), schema, nil); err == nil {
 		t.Error("unknown layout accepted")
 	}
+	// A zero skip level would divide by zero at the first group check.
+	sl, _ := writeColumn(t, schema, Options{Layout: SkipList, Levels: []int{100, 10}}, 10, genMap)
+	bad = append([]byte{}, sl.Bytes()...)
+	bad[len(headerMagic)+2] = 0
+	if _, err := NewReader(bytes.NewReader(bad), schema, nil); err == nil {
+		t.Error("zero skip level accepted")
+	}
 }
 
 func TestParseLayout(t *testing.T) {

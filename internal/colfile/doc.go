@@ -25,14 +25,14 @@
 // section — per-record-group zone maps, key universes, and Bloom filters,
 // led by a whole-file aggregate — written by all four layouts and read
 // back footer-first without touching data. The byte-level specification of
-// every layout and the stats lineage ("CFST" → "CFS2" → "CFS3") lives in
+// every layout and of the one stats generation ("CFS4") lives in
 // docs/FORMAT.md; the format-spec CI check keeps that document covering
 // every magic in this package.
 //
 // Role in the scheduler→file→group→value pipeline: this package is the
 // statistics *storage* side. FileStats serves the scheduler tier (split
 // elision reads only footers), StatsSource/FileStatsSource serve the
-// reader's file and group tiers, and the DCSL reader's KeyProber serves
+// reader's file and group tiers, and the DCSL reader's KeyVecProber serves
 // the value tier (window-dictionary and group-Bloom key probes without
 // materializing maps). The pruning *decisions* live in internal/scan; the
 // readers here only expose statistics and never interpret predicates.
@@ -42,9 +42,8 @@
 //   - Round trip (stats_test.go, bloomstats_test.go): every layout writes
 //     a section whose decoded groups tile the record space exactly, whose
 //     bounds contain every value they cover, and whose Bloom filters
-//     may-contain every written value — with legacy CFST/CFS2 sections
-//     (and Options.NoBloom files) still parsing to filter-less statistics
-//     that behave exactly as before filters existed.
+//     may-contain every written value — with Options.NoBloom files
+//     parsing to filter-less statistics.
 //   - Parser totality (stats_fuzz_test.go): the stats parser never panics
 //     on arbitrary bytes, and whatever parses re-encodes and re-parses to
 //     the same geometry.

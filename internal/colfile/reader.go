@@ -81,7 +81,6 @@ func NewReaderOpts(r ReaderAtSize, schema *serde.Schema, opts ReaderOptions, sta
 			dcsl:        h.layout == DCSL,
 			noBloom:     opts.NoBloom,
 			total:       total,
-			probeWin:    -1,
 		}, nil
 	}
 	return nil, fmt.Errorf("colfile: unknown layout %v", h.layout)
@@ -147,6 +146,10 @@ type blockReader struct {
 func (b *blockReader) Record() int64 { return b.rec }
 func (b *blockReader) Total() int64  { return b.total }
 
+// readFrameHeader reads and bounds the next frame header. Every field is
+// file data: the record count must fit the records remaining and the
+// payload the bytes remaining; the codec bounds rawLen by its worst-case
+// expansion of compLen before allocating for it.
 func (b *blockReader) readFrameHeader() (records, rawLen, compLen int, err error) {
 	r64, err := b.s.readUvarint()
 	if err != nil {
@@ -159,6 +162,12 @@ func (b *blockReader) readFrameHeader() (records, rawLen, compLen int, err error
 	comp64, err := b.s.readUvarint()
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("colfile: frame header: %w", err)
+	}
+	if r64 == 0 || r64 > uint64(b.total-b.rec) {
+		return 0, 0, 0, fmt.Errorf("colfile: frame of %d records with %d remaining", r64, b.total-b.rec)
+	}
+	if comp64 > uint64(b.s.remainingInFile()) {
+		return 0, 0, 0, fmt.Errorf("colfile: frame payload of %d bytes with %d left in file", comp64, b.s.remainingInFile())
 	}
 	return int(r64), int(raw64), int(comp64), nil
 }
@@ -274,17 +283,6 @@ type slReader struct {
 
 	aligned bool
 	dict    *compress.Dictionary
-
-	// KeyProber memoization: repeated probes for the same key reuse the
-	// group's Bloom verdict and the window's dictionary answer instead of
-	// re-probing per record. Cursor movement never invalidates the memos —
-	// they are keyed by position range — and a different key resets them.
-	probeKey      string
-	probeGroupEnd int64 // bloom verdict valid for rec < probeGroupEnd
-	probeBloomNeg bool
-	probeWin      int64 // window start the dict answer covers; -1 = none
-	probeID       uint32
-	probeInWin    bool
 }
 
 func (r *slReader) Record() int64 { return r.rec }
@@ -457,84 +455,6 @@ func (r *slReader) SkipTo(target int64) error {
 		}
 	}
 	return nil
-}
-
-// HasKey implements KeyProber for DCSL files. The group's Bloom filter is
-// consulted first when present: a negative probe refutes the key for the
-// whole record group from already-loaded (uncharged) metadata, before the
-// reader even aligns on the record — cheaper than the dictionary walk and
-// able to skip the window dictionary load entirely. Past the filter, the
-// window dictionary is the union of every map key in the window, so a
-// failed lookup refutes the whole window with one map access; a hit walks
-// the current record's (id, value) pairs comparing ids, skipping element
-// bytes, building no objects. The walk is priced as raw byte movement.
-func (r *slReader) HasKey(key string) (bool, bool, error) {
-	if !r.dcsl || r.schema.Kind != serde.KindMap || r.rec >= r.total {
-		return false, false, nil
-	}
-	if key != r.probeKey {
-		r.probeKey = key
-		r.probeGroupEnd = 0
-		r.probeWin = -1
-	}
-	if !r.noBloom {
-		if r.rec >= r.probeGroupEnd {
-			st, gEnd := r.GroupStats(r.rec)
-			r.probeBloomNeg = st != nil && st.Bloom != nil && !st.Bloom.MayContainString(key)
-			if gEnd <= r.rec {
-				gEnd = r.rec + 1
-			}
-			r.probeGroupEnd = gEnd
-		}
-		if r.probeBloomNeg {
-			return false, true, nil
-		}
-	}
-	if err := r.align(); err != nil {
-		return false, false, err
-	}
-	if r.dict == nil {
-		return false, false, nil
-	}
-	if win := r.rec - r.rec%r.maxLevel(); win != r.probeWin {
-		r.probeID, r.probeInWin = r.dict.ID(key)
-		r.probeWin = win
-	}
-	id, inWindow := r.probeID, r.probeInWin
-	if !inWindow {
-		return false, true, nil
-	}
-	n, w, err := r.s.peekUvarint()
-	if err != nil {
-		return false, false, fmt.Errorf("colfile: probe length: %w", err)
-	}
-	buf, err := r.s.peekAt(w, int(n))
-	if err != nil {
-		return false, false, fmt.Errorf("colfile: probe body: %w", err)
-	}
-	d := serde.NewDecoder(buf, nil)
-	count, err := readCount(d)
-	if err != nil {
-		return false, false, err
-	}
-	has := false
-	for i := 0; i < count; i++ {
-		got, err := readCount(d)
-		if err != nil {
-			return false, false, err
-		}
-		if uint32(got) == id {
-			has = true
-			break
-		}
-		if err := d.Skip(r.schema.Elem); err != nil {
-			return false, false, err
-		}
-	}
-	if r.stats != nil {
-		r.stats.RawBytes += int64(d.Pos())
-	}
-	return has, true, nil
 }
 
 // walkOne advances past one value using its length prefix: a varint read

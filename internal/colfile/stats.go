@@ -438,7 +438,7 @@ func (w *statsWriter) finish() ([]byte, error) {
 	if len(w.file.entries) != 1 {
 		return nil, fmt.Errorf("colfile: file aggregate collector produced %d entries, want 1", len(w.file.entries))
 	}
-	return appendStatsSectionV4(nil, w.group.schema, &w.file.entries[0].st, w.group.entries)
+	return appendStatsSection(nil, w.group.schema, &w.file.entries[0].st, w.group.entries)
 }
 
 // Stats section encoding (current, "CFS4"; see docs/FORMAT.md for the
@@ -465,20 +465,11 @@ func (w *statsWriter) finish() ([]byte, error) {
 // relevance from the footer plus an O(1) parse — never data, never the
 // group entries.
 //
-// Lineage, all still parsed: "CFST" (PR 1) holds groups only — consumers
-// derive the aggregate by merging groups; "CFS2" (PR 2) added the leading
-// aggregate; "CFS3" (PR 5) added the optional per-entry Bloom filter;
-// "CFS4" (this PR) added the equi-depth histogram and the filter's
-// recorded fill fraction. An entry using no new feature is byte-identical
-// to its previous-generation spelling, so the flag bits are what version
-// entries — the magic versions the section frame, and each encoder rejects
-// entries carrying features its generation's parsers cannot skip.
-const (
-	statsMagic   = "CFST"
-	statsMagicV2 = "CFS2"
-	statsMagicV3 = "CFS3"
-	statsMagicV4 = "CFS4"
-)
+// CFS4 is the only generation: column files live in the in-memory hdfs
+// and never outlive the process that wrote them, so no reader can meet an
+// older section. Optional features version themselves through the flag
+// bits.
+const statsMagic = "CFS4"
 
 const (
 	statsFlagMinMax byte = 1 << iota
@@ -494,86 +485,11 @@ const (
 // 64-bit words. Anything larger is corruption, not a huge filter.
 const statsMaxBloomWords = bloomMaxFileBytes / 8
 
-// entryFeatureError rejects an entry carrying a feature the given section
-// generation's parsers cannot skip: Bloom filters arrived with CFS3,
-// histograms and recorded fill fractions with CFS4. Encoders for older
-// magics call it so a pre-feature section can never smuggle feature bytes
-// past a pre-feature parser.
-func entryFeatureError(magic string, st *scan.ColStats) error {
-	if st.Bloom != nil && magic != statsMagicV3 && magic != statsMagicV4 {
-		return fmt.Errorf("colfile: %s section cannot carry a Bloom filter", magic)
-	}
-	if (st.Hist != nil || st.BloomFill > 0) && magic != statsMagicV4 {
-		return fmt.Errorf("colfile: %s section cannot carry a histogram or bloom fill fraction", magic)
-	}
-	return nil
-}
-
-// appendStatsSection encodes the legacy groups-only section ("CFST").
-// Only backward-compat tests build it today; the writer emits
-// appendStatsSectionV4. Like the CFS2 encoder, it rejects entries bearing
-// newer-generation features: pre-feature sections must stay readable by
-// pre-feature parsers.
-func appendStatsSection(dst []byte, schema *serde.Schema, entries []statsEntry) ([]byte, error) {
-	for i := range entries {
-		if err := entryFeatureError(statsMagic, &entries[i].st); err != nil {
-			return nil, err
-		}
-	}
+// appendStatsSection encodes the aggregate-first section ("CFS4") with
+// optional per-entry Bloom filters, recorded fill fractions, and
+// equi-depth histograms.
+func appendStatsSection(dst []byte, schema *serde.Schema, agg *scan.ColStats, entries []statsEntry) ([]byte, error) {
 	dst = append(dst, statsMagic...)
-	dst = binary.AppendUvarint(dst, uint64(len(entries)))
-	var err error
-	for _, e := range entries {
-		if dst, err = appendStatsEntry(dst, schema, &e.st); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
-}
-
-// appendStatsSectionV2 encodes the legacy aggregate-first section
-// ("CFS2"). Only backward-compat tests build it today; entries carrying a
-// Bloom filter (or any later feature) would be unreadable by pre-feature
-// parsers, so this encoder rejects them.
-func appendStatsSectionV2(dst []byte, schema *serde.Schema, agg *scan.ColStats, entries []statsEntry) ([]byte, error) {
-	if err := entryFeatureError(statsMagicV2, agg); err != nil {
-		return nil, err
-	}
-	for i := range entries {
-		if err := entryFeatureError(statsMagicV2, &entries[i].st); err != nil {
-			return nil, err
-		}
-	}
-	return appendAggSection(dst, statsMagicV2, schema, agg, entries)
-}
-
-// appendStatsSectionV3 encodes the legacy bloom-bearing section ("CFS3").
-// It rejects entries carrying CFS4 features (histogram, recorded fill
-// fraction): a CFS3 parser has no way to skip their payloads.
-func appendStatsSectionV3(dst []byte, schema *serde.Schema, agg *scan.ColStats, entries []statsEntry) ([]byte, error) {
-	if err := entryFeatureError(statsMagicV3, agg); err != nil {
-		return nil, err
-	}
-	for i := range entries {
-		if err := entryFeatureError(statsMagicV3, &entries[i].st); err != nil {
-			return nil, err
-		}
-	}
-	return appendAggSection(dst, statsMagicV3, schema, agg, entries)
-}
-
-// appendStatsSectionV4 encodes the current aggregate-first section
-// ("CFS4") with optional per-entry Bloom filters, recorded fill fractions,
-// and equi-depth histograms.
-func appendStatsSectionV4(dst []byte, schema *serde.Schema, agg *scan.ColStats, entries []statsEntry) ([]byte, error) {
-	return appendAggSection(dst, statsMagicV4, schema, agg, entries)
-}
-
-// appendAggSection encodes an aggregate-first section under the given
-// magic (the CFS2 and CFS3 frames are identical; entries version
-// themselves through flag bits).
-func appendAggSection(dst []byte, magic string, schema *serde.Schema, agg *scan.ColStats, entries []statsEntry) ([]byte, error) {
-	dst = append(dst, magic...)
 	dst, err := appendStatsEntry(dst, schema, agg)
 	if err != nil {
 		return nil, err
@@ -692,9 +608,8 @@ func (c *statsCursor) bytes(n int, what string) ([]byte, error) {
 }
 
 // parseStatsSection decodes a stats section: the per-group entries plus
-// the whole-file aggregate (nil for legacy sections written before the
-// aggregate existed). Decoding charges nothing: like the footer and the
-// split's schema file, zone maps are metadata.
+// the whole-file aggregate. Decoding charges nothing: like the footer and
+// the split's schema file, zone maps are metadata.
 func parseStatsSection(blob []byte, schema *serde.Schema) ([]statsEntry, *scan.ColStats, error) {
 	agg, c, err := parseStatsHead(blob, schema)
 	if err != nil {
@@ -723,24 +638,18 @@ func parseStatsSection(blob []byte, schema *serde.Schema) ([]statsEntry, *scan.C
 	return entries, agg, nil
 }
 
-// parseStatsHead consumes the section magic and, for current sections,
-// the leading aggregate entry, leaving the cursor at the group count.
+// parseStatsHead consumes the section magic and the leading aggregate
+// entry, leaving the cursor at the group count.
 func parseStatsHead(blob []byte, schema *serde.Schema) (*scan.ColStats, *statsCursor, error) {
-	if len(blob) < len(statsMagic) {
-		return nil, nil, fmt.Errorf("colfile: stats section too short")
+	if len(blob) < len(statsMagic) || string(blob[:len(statsMagic)]) != statsMagic {
+		return nil, nil, fmt.Errorf("colfile: bad stats magic")
 	}
 	c := &statsCursor{buf: blob, pos: len(statsMagic)}
-	switch string(blob[:len(statsMagic)]) {
-	case statsMagicV4, statsMagicV3, statsMagicV2:
-		var agg scan.ColStats
-		if err := parseStatsEntry(c, schema, &agg); err != nil {
-			return nil, nil, err
-		}
-		return &agg, c, nil
-	case statsMagic:
-		return nil, c, nil // legacy: groups only (backward compat)
+	var agg scan.ColStats
+	if err := parseStatsEntry(c, schema, &agg); err != nil {
+		return nil, nil, err
 	}
-	return nil, nil, fmt.Errorf("colfile: bad stats magic")
+	return &agg, c, nil
 }
 
 func parseStatsEntry(c *statsCursor, schema *serde.Schema, st *scan.ColStats) error {
@@ -925,9 +834,7 @@ func (l *statsLoader) GroupStats(rec int64) (*scan.ColStats, int64) {
 	return &e.st, end
 }
 
-// FileStats implements FileStatsSource. For files written before the
-// aggregate trailer existed it derives the aggregate by merging the
-// per-group entries, so old datasets prune at the file tier too.
+// FileStats implements FileStatsSource.
 func (l *statsLoader) FileStats() *scan.ColStats {
 	if l == nil || l.size == 0 || l.failed {
 		return nil
@@ -938,24 +845,7 @@ func (l *statsLoader) FileStats() *scan.ColStats {
 			return nil
 		}
 	}
-	if l.agg == nil {
-		l.agg = mergeEntries(l.entries)
-	}
 	return l.agg
-}
-
-// mergeEntries derives a whole-file aggregate from per-group entries (the
-// legacy-section path shared by both file-tier consumers). nil when there
-// are no entries.
-func mergeEntries(entries []statsEntry) *scan.ColStats {
-	if len(entries) == 0 {
-		return nil
-	}
-	var m scan.ColStats
-	for i := range entries {
-		m.Merge(&entries[i].st)
-	}
-	return &m
 }
 
 func (l *statsLoader) load() {
@@ -980,9 +870,8 @@ func (l *statsLoader) load() {
 
 // FileStats reads a column file's whole-file aggregate statistics using
 // only the footer and the adjacent stats section — never the data region,
-// and never the accounting sink. Current sections lead with the aggregate,
-// so the parse is O(1) in the number of record groups; legacy sections
-// fall back to merging their group entries. This is the scheduler tier's
+// and never the accounting sink. Sections lead with the aggregate, so the
+// parse is O(1) in the number of record groups. This is the scheduler tier's
 // view: split elision decides a file's relevance from it before any map
 // task exists. It returns (nil, nil) for files without (or with
 // unreadable) statistics — planning degrades, it does not fail.
@@ -1006,13 +895,5 @@ func FileStats(r ReaderAtSize, schema *serde.Schema) (*scan.ColStats, error) {
 	if err != nil {
 		return nil, nil
 	}
-	if agg != nil {
-		return agg, nil
-	}
-	// Legacy groups-only section: merge the entries.
-	entries, _, err := parseStatsSection(blob, schema)
-	if err != nil {
-		return nil, nil
-	}
-	return mergeEntries(entries), nil
+	return agg, nil
 }

@@ -9,14 +9,14 @@ import (
 
 // The stats-section parser is exposed to on-disk bytes (and, through
 // FileStats, to bytes no reader has validated) and must never panic. The
-// seed corpus covers the full footer lineage — legacy CFST, aggregate-first
-// CFS2, bloom-bearing CFS3, histogram-bearing CFS4 — plus bloom and
-// histogram present/absent/degenerate/saturated entries and truncations of
-// each. Runs under plain `go test`; explores further under
+// seed corpus covers CFS4 sections with each optional feature — Bloom
+// filter, recorded fill fraction, histogram — present and absent, in the
+// groups and in the aggregate, plus degenerate and saturated entries and
+// truncations of each. Runs under plain `go test`; explores further under
 // `go test -fuzz FuzzStatsSection`.
 
-// stripNewerFeatures clones entries without the CFS4-only fields so legacy
-// encoders accept real collector output.
+// stripNewerFeatures clones entries without the histogram and recorded
+// fill fraction.
 func stripNewerFeatures(entries []statsEntry) []statsEntry {
 	out := append([]statsEntry(nil), entries...)
 	for i := range out {
@@ -26,45 +26,43 @@ func stripNewerFeatures(entries []statsEntry) []statsEntry {
 	return out
 }
 
-// fuzzSeedSections builds one valid section per format generation for the
-// given schema, from real collector output.
+// fuzzSeedSections builds valid sections for the given schema from real
+// collector output, from feature-less to every feature present.
 func fuzzSeedSections(schema *serde.Schema, gen func(i int) any) ([][]byte, error) {
 	bloomed := newStatsCollector(schema, 20, 1<<10)
 	plain := newStatsCollector(schema, 20, 0)
-	// A whole-file-style collector with histogram sampling on: its single
-	// entry carries the CFS4 features (histogram, recorded fill).
+	// Whole-file-style collectors: one without any optional feature, one
+	// with histogram sampling and a filter (histogram, recorded fill).
+	plainFile := newStatsCollector(schema, 0, 0)
 	full := newStatsCollector(schema, 0, 1<<10)
 	full.histMax = 64
 	for i := 0; i < 100; i++ {
 		bloomed.observe(gen(i))
 		plain.observe(gen(i))
+		plainFile.observe(gen(i))
 		full.observe(gen(i))
 	}
 	bloomed.cut()
 	plain.cut()
+	plainFile.cut()
 	full.cut()
+	sections := []struct {
+		agg     *statsEntry
+		entries []statsEntry
+	}{
+		{&plainFile.entries[0], plain.entries},
+		{&plainFile.entries[0], stripNewerFeatures(bloomed.entries)},
+		{&full.entries[0], plain.entries},
+		{&full.entries[0], bloomed.entries},
+	}
 	var out [][]byte
-	legacy, err := appendStatsSection(nil, schema, plain.entries)
-	if err != nil {
-		return nil, err
+	for _, sec := range sections {
+		blob, err := appendStatsSection(nil, schema, &sec.agg.st, sec.entries)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, blob)
 	}
-	out = append(out, legacy)
-	v2, err := appendStatsSectionV2(nil, schema, mergeEntries(plain.entries), plain.entries)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, v2)
-	v3entries := stripNewerFeatures(bloomed.entries)
-	v3, err := appendStatsSectionV3(nil, schema, mergeEntries(stripNewerFeatures(plain.entries)), v3entries)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, v3)
-	v4, err := appendStatsSectionV4(nil, schema, &full.entries[0].st, bloomed.entries)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, v4)
 	return out, nil
 }
 
@@ -86,9 +84,9 @@ func FuzzStatsSection(f *testing.F) {
 		f.Add(s[:len(s)/2]) // truncated mid-entry
 		f.Add(s[:5])        // magic plus one byte
 	}
-	// A CFS3 aggregate whose filter is all ones (saturated on disk: a
-	// parser must take it as-is, saturation is a write-side policy).
-	sat := []byte(statsMagicV3)
+	// An aggregate whose filter is all ones (saturated on disk: a parser
+	// must take it as-is, saturation is a write-side policy).
+	sat := []byte(statsMagic)
 	sat = append(sat, 1, 0, 1) // rows=1 nulls=0 distinct=1
 	sat = append(sat, 1<<4)    // flags: bloom only
 	sat = append(sat, 7, 8)    // k=7, 8 words (one block)
@@ -98,12 +96,12 @@ func FuzzStatsSection(f *testing.F) {
 	sat = append(sat, 0) // zero groups
 	f.Add(sat)
 	// Absurd bloom geometry: word count far past the file cap.
-	huge := []byte(statsMagicV3)
+	huge := []byte(statsMagic)
 	huge = append(huge, 1, 0, 1, 1<<4, 7, 0xFF, 0xFF, 0xFF, 0x7F)
 	f.Add(huge)
-	// A degenerate CFS4 aggregate: one-bucket histogram whose single bucket
+	// A degenerate aggregate: one-bucket histogram whose single bucket
 	// covers one value — the smallest histogram a writer can emit.
-	deg := []byte(statsMagicV4)
+	deg := []byte(statsMagic)
 	deg = append(deg, 5, 0, 1) // rows=5 nulls=0 distinct=1
 	deg = append(deg, 1|1<<5)  // flags: minmax + hist
 	lit := func(dst []byte) []byte {
@@ -126,7 +124,7 @@ func FuzzStatsSection(f *testing.F) {
 	f.Add(deg)
 	// Same aggregate with an implausible bucket count (0): must be rejected
 	// or tolerated without panic, never trusted.
-	badHist := []byte(statsMagicV4)
+	badHist := []byte(statsMagic)
 	badHist = append(badHist, 5, 0, 1, 1<<5, 0xFF, 0xFF, 0x7F)
 	f.Add(badHist)
 	f.Add([]byte("CFS9junk"))
@@ -141,12 +139,7 @@ func FuzzStatsSection(f *testing.F) {
 			// Whatever parses must re-encode and re-parse to the same
 			// number of entries with the same geometry — the round trip
 			// the writer depends on.
-			var blob []byte
-			if agg != nil {
-				blob, err = appendStatsSectionV4(nil, schema, agg, entries)
-			} else {
-				blob, err = appendStatsSection(nil, schema, entries)
-			}
+			blob, err := appendStatsSection(nil, schema, agg, entries)
 			if err != nil {
 				// Decoded values of another schema's kind can fail to
 				// re-encode under this one; that is a caller-side type

@@ -294,63 +294,9 @@ func TestFileStatsAggregateKeys(t *testing.T) {
 	}
 }
 
-// TestFileStatsBackwardCompat assembles a file whose stats section predates
-// the aggregate trailer (per-group entries only) and checks that it still
-// opens, serves group stats, and derives a whole-file aggregate by merging
-// groups.
-func TestFileStatsBackwardCompat(t *testing.T) {
-	schema := serde.Int()
-	const n = 100
-	// Hand-assemble a Plain file the way the pre-trailer writer did.
-	zm := newStatsCollector(schema, 40, 0)
-	var data []byte
-	data = appendHeader(data, header{layout: Plain})
-	for i := 0; i < n; i++ {
-		enc, err := serde.AppendValue(nil, schema, int32(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		data = append(data, enc...)
-		zm.observe(int32(i))
-	}
-	zm.cut()
-	section, err := appendStatsSection(nil, schema, zm.entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, section...)
-	data = appendFooter(data, n, len(section))
-	f := &memFile{}
-	f.Write(data)
-
-	r, err := NewReader(f.reader(), schema, nil)
-	if err != nil {
-		t.Fatalf("pre-aggregate file does not open: %v", err)
-	}
-	for i := 0; i < n; i++ {
-		v, err := r.Value()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v != int32(i) {
-			t.Fatalf("record %d = %v", i, v)
-		}
-	}
-	if st, _ := statsSource(t, r, "plain").GroupStats(0); st == nil {
-		t.Fatal("pre-aggregate file serves no group stats")
-	}
-	st := fileStatsSource(t, r, "plain").FileStats()
-	if st == nil {
-		t.Fatal("no aggregate derived from per-group entries")
-	}
-	if st.Rows != n || st.Min != int32(0) || st.Max != int32(n-1) {
-		t.Errorf("merged aggregate = rows %d min %v max %v, want %d 0 %d", st.Rows, st.Min, st.Max, n, n-1)
-	}
-}
-
-// TestDCSLKeyProbe checks the DCSL reader's key prober against
-// materialized truth for every record, and that a key outside the window
-// dictionary is refuted without decoding anything.
+// TestDCSLKeyProbe checks the DCSL reader's batch key prober, one record
+// per probe, against materialized truth for every record, including a key
+// outside every window dictionary.
 func TestDCSLKeyProbe(t *testing.T) {
 	schema := mapSchema()
 	const n = 230
@@ -366,39 +312,27 @@ func TestDCSLKeyProbe(t *testing.T) {
 		return m
 	}
 	f, vals := writeColumn(t, schema, Options{Layout: DCSL, Levels: []int{100, 10}}, n, gen)
-	r, err := NewReader(f.reader(), schema, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kp, ok := r.(KeyProber)
-	if !ok {
-		t.Fatalf("DCSL reader %T does not implement KeyProber", r)
-	}
-	keys := []string{"even", "third", "ka", "kb", "absent"}
-	for i := 0; i < n; i++ {
-		if err := r.SkipTo(int64(i)); err != nil {
+	for _, key := range []string{"even", "third", "ka", "kb", "absent"} {
+		r, err := NewReader(f.reader(), schema, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		want := vals[i].(map[string]any)
-		for _, key := range keys {
-			has, answered, err := kp.HasKey(key)
+		kp, ok := r.(KeyVecProber)
+		if !ok {
+			t.Fatalf("DCSL reader %T does not implement KeyVecProber", r)
+		}
+		for i := 0; i < n; i++ {
+			sel := scan.NewSelection(1)
+			answered, err := kp.ProbeKeys(key, int64(i), int64(i+1), sel, nil)
 			if err != nil {
 				t.Fatalf("record %d key %q: %v", i, key, err)
 			}
 			if !answered {
 				t.Fatalf("record %d key %q: prober did not answer", i, key)
 			}
-			if _, truth := want[key]; has != truth {
-				t.Fatalf("record %d key %q: probe = %v, want %v", i, key, has, truth)
+			if _, truth := vals[i].(map[string]any)[key]; sel.Test(0) != truth {
+				t.Fatalf("record %d key %q: probe = %v, want %v", i, key, sel.Test(0), truth)
 			}
-		}
-		// Probing must not move the cursor: the value must still decode.
-		v, err := r.Value()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !serde.ValuesEqual(schema, v, vals[i]) {
-			t.Fatalf("record %d corrupted by probing: %v vs %v", i, v, vals[i])
 		}
 	}
 }

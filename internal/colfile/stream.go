@@ -163,6 +163,9 @@ func (s *stream) consume(n int) { s.off += n }
 // readFull returns exactly n bytes at the cursor and consumes them. The
 // returned slice aliases the window and is valid until the next stream call.
 func (s *stream) readFull(n int) ([]byte, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("colfile: negative read %d", n)
+	}
 	if err := s.ensure(n); err != nil {
 		return nil, err
 	}
@@ -222,6 +225,9 @@ func (s *stream) peekUvarint() (uint64, int, error) {
 // nothing. The returned slice aliases the window and is valid until the
 // next stream call.
 func (s *stream) peekAt(skip, n int) ([]byte, error) {
+	if skip < 0 || n < 0 {
+		return nil, fmt.Errorf("colfile: negative peek %d+%d", skip, n)
+	}
 	if err := s.ensure(skip + n); err != nil {
 		return nil, err
 	}

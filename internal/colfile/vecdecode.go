@@ -459,7 +459,7 @@ func (r *slReader) ProbeKeys(key string, start, end int64, sel *scan.Selection, 
 		}
 		if sel.Test(int(r.rec - start)) {
 			// Record tier: walk the record's (id, value) pairs comparing
-			// ids, building no objects (cf. HasKey).
+			// ids, building no objects.
 			n, w, err := r.s.peekUvarint()
 			if err != nil {
 				return false, fmt.Errorf("colfile: probe length: %w", err)

@@ -76,6 +76,21 @@ func ChargeComp(stats *sim.CPUStats, codec string, n int64) {
 	}
 }
 
+// checkRawLen rejects a declared decompressed length that no valid
+// compLen-byte input could produce under the codec's worst-case expansion
+// ratio, before anything is allocated for it: the length comes from a
+// frame header, that is, from untrusted file bytes.
+func checkRawLen(codec string, rawLen, compLen int, maxRatio int64) error {
+	if rawLen < 0 || int64(rawLen) > maxRatio*int64(compLen) {
+		return fmt.Errorf("compress: %s: raw length %d impossible for %d compressed bytes", codec, rawLen, compLen)
+	}
+	return nil
+}
+
+// zlibMaxRatio bounds DEFLATE's expansion: a 258-byte match coded in two
+// bits is the densest any stream can be.
+const zlibMaxRatio = 1032
+
 // None is the identity codec.
 type None struct{}
 
@@ -118,6 +133,9 @@ func (ZLIB) Compress(dst, src []byte) ([]byte, error) {
 
 // Decompress implements Codec.
 func (ZLIB) Decompress(dst, src []byte, rawLen int) ([]byte, error) {
+	if err := checkRawLen("zlib", rawLen, len(src), zlibMaxRatio); err != nil {
+		return dst, err
+	}
 	r := flate.NewReader(bytes.NewReader(src))
 	defer r.Close()
 	out := make([]byte, 0, rawLen)

@@ -134,9 +134,12 @@ func TestDecompressCorrupt(t *testing.T) {
 	data := []byte(strings.Repeat("abcdefgh", 100))
 	for _, c := range codecs(t) {
 		comp, _ := c.Compress(nil, data)
-		// Wrong rawLen must be detected.
-		if _, err := c.Decompress(nil, comp, len(data)+1); err == nil {
-			t.Errorf("%s: wrong rawLen accepted", c.Name())
+		// Wrong rawLen must be detected; an impossible one (negative, or
+		// beyond the codec's expansion bound) before anything is allocated.
+		for _, rawLen := range []int{len(data) + 1, -1, 1 << 40} {
+			if _, err := c.Decompress(nil, comp, rawLen); err == nil {
+				t.Errorf("%s: rawLen %d accepted", c.Name(), rawLen)
+			}
 		}
 		// Truncated input must error, not panic.
 		if len(comp) > 4 {

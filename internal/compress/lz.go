@@ -104,10 +104,17 @@ func lzExtend(dst []byte, n int) []byte {
 	return append(dst, byte(n))
 }
 
+// lzMaxRatio bounds the expansion: each 255-byte length continuation adds
+// at most 255 bytes of match output, and no other input byte adds more.
+const lzMaxRatio = 255
+
 // Decompress implements Codec.
 func (LZO) Decompress(dst, src []byte, rawLen int) ([]byte, error) {
 	if rawLen == 0 && len(src) == 0 {
 		return dst, nil
+	}
+	if err := checkRawLen("lzo", rawLen, len(src), lzMaxRatio); err != nil {
+		return dst, err
 	}
 	out := make([]byte, 0, rawLen)
 	p := 0

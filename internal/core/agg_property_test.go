@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"colmr/internal/colfile"
@@ -12,7 +13,6 @@ import (
 	"colmr/internal/mapred"
 	"colmr/internal/scan"
 	"colmr/internal/serde"
-	"colmr/internal/sim"
 )
 
 // Aggregation pushdown properties. The pushdown path (DrainAggregate:
@@ -129,7 +129,8 @@ func aggPropAggregate(t *testing.T, rng *rand.Rand) *scan.Aggregate {
 }
 
 // aggPropGold folds the in-memory records by brute force: predicate via
-// scalar Eval, values via FoldRecord — the reference the pushdown must hit.
+// per-record Eval, values via FoldRecord — the reference the pushdown must
+// hit.
 func aggPropGold(t *testing.T, recs []*serde.GenericRecord, pred scan.Predicate, agg *scan.Aggregate) *scan.AggState {
 	t.Helper()
 	st := scan.NewAggState(agg)
@@ -200,35 +201,33 @@ func TestAggPushdownMatchesBruteForce(t *testing.T) {
 		agg := aggPropAggregate(t, rng)
 		ctx := fmt.Sprintf("trial %d (n=%d sorted=%v pred=%v agg=%s)", trial, n, sorted, pred, agg)
 
-		want := aggPropGold(t, recs, pred, agg).Rows()
-		var stats [2]sim.TaskStats
-		for vi, vect := range []bool{true, false} {
-			b := ScanDataset("/d").Where(pred).Vectorize(vect).Aggregate(agg)
-			res, err := mapred.Run(fs, b.AggJob())
-			if err != nil {
-				t.Fatalf("%s vect=%v: %v", ctx, vect, err)
-			}
-			checkAggRows(t, fmt.Sprintf("%s vect=%v", ctx, vect), res.Agg.Rows(), want)
-			if res.Total.RecordsProcessed != 0 {
-				t.Fatalf("%s vect=%v: %d records materialized during aggregation",
-					ctx, vect, res.Total.RecordsProcessed)
-			}
-			stats[vi] = res.Total
+		gold := aggPropGold(t, recs, pred, agg)
+		res, err := mapred.Run(fs, ScanDataset("/d").Where(pred).Aggregate(agg).AggJob())
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		checkAggRows(t, ctx, res.Agg.Rows(), gold.Rows())
+		st := res.Total
+		if st.RecordsProcessed != 0 {
+			t.Fatalf("%s: %d records materialized during aggregation", ctx, st.RecordsProcessed)
 		}
 
 		// The pruning trajectory is the predicate's, not the consumer's: a
 		// materializing scan of the same predicate must report identical
-		// logical counters, and so must the scalar agg run.
+		// logical counters, and both must match the statistics replay.
 		conf := predConf(agg.Columns(nil), false, pred)
 		conf.InputPaths = []string{"/d"}
-		_, mat := scanAll(t, fs, "/d", conf)
-		for vi, st := range stats {
-			if st.GroupsPruned != mat.GroupsPruned || st.RecordsPruned != mat.RecordsPruned ||
-				st.BloomPruned != mat.BloomPruned || st.SplitsPruned != mat.SplitsPruned {
-				t.Fatalf("%s vect=%v: pruning counters diverge from materializing scan:\nagg %+v\nmat groups=%d records=%d bloom=%d splits=%d",
-					ctx, vi == 0, st, mat.GroupsPruned, mat.RecordsPruned, mat.BloomPruned, mat.SplitsPruned)
-			}
+		rows, mat := scanAll(t, fs, "/d", conf)
+		if st.GroupsPruned != mat.GroupsPruned || st.RecordsPruned != mat.RecordsPruned ||
+			st.BloomPruned != mat.BloomPruned || st.SplitsPruned != mat.SplitsPruned {
+			t.Fatalf("%s: pruning counters diverge from materializing scan:\nagg %+v\nmat groups=%d records=%d bloom=%d splits=%d",
+				ctx, st, mat.GroupsPruned, mat.RecordsPruned, mat.BloomPruned, mat.SplitsPruned)
 		}
+		matched := int64(len(wantMatchesSchema(t, recs, pred)))
+		if int64(len(rows)) != matched {
+			t.Fatalf("%s: materializing scan returned %d rows, brute force %d", ctx, len(rows), matched)
+		}
+		checkReplayCounters(t, ctx, fs, "/d", pred, mat, matched, int64(n))
 	}
 }
 
@@ -248,12 +247,12 @@ func TestAggSharedBatchMatchesBruteForce(t *testing.T) {
 		agg2 := aggPropAggregate(t, rng)
 		ctx := fmt.Sprintf("trial %d (n=%d pred1=%v agg1=%s pred2=%v agg2=%s)", trial, n, pred1, agg1, pred2, agg2)
 
-		var matched int64
+		var matched atomic.Int64 // map tasks run concurrently
 		jobs := []*mapred.Job{
 			ScanDataset("/d").Where(pred1).Aggregate(agg1).AggJob(),
 			ScanDataset("/d").Where(pred2).Aggregate(agg2).AggJob(),
 			ScanDataset("/d").Columns("s").Where(pred1).Job(
-				mapred.MapperFunc(func(_, _ any, _ mapred.Emit) error { matched++; return nil })),
+				mapred.MapperFunc(func(_, _ any, _ mapred.Emit) error { matched.Add(1); return nil })),
 		}
 		br, err := mapred.RunBatch(fs, jobs...)
 		if err != nil {
@@ -271,8 +270,8 @@ func TestAggSharedBatchMatchesBruteForce(t *testing.T) {
 				ctx, br.Results[0].Total.RecordsProcessed, br.Results[1].Total.RecordsProcessed)
 		}
 		wantMatched := int64(len(wantMatchesSchema(t, recs, pred1)))
-		if matched != wantMatched {
-			t.Fatalf("%s: record member saw %d rows, want %d", ctx, matched, wantMatched)
+		if matched.Load() != wantMatched {
+			t.Fatalf("%s: record member saw %d rows, want %d", ctx, matched.Load(), wantMatched)
 		}
 	}
 }
@@ -328,10 +327,9 @@ func TestAggStatsShortcutZeroDecode(t *testing.T) {
 }
 
 // TestDictIdEqualityMatchesStringEquality: equality over a DCSL string
-// column runs on window dictionary ids when vectorized — same verdicts,
-// same pruning trajectory, zero string decode for the filter — and the
-// scalar path (string comparisons) agrees needle by needle, present or
-// absent.
+// column runs on window dictionary ids — zero string decode for the filter
+// — and agrees needle by needle, present or absent, with brute-force string
+// equality, its pruning counters with the statistics replay.
 func TestDictIdEqualityMatchesStringEquality(t *testing.T) {
 	count, err := scan.ParseAggregate("count")
 	if err != nil {
@@ -360,28 +358,15 @@ func TestDictIdEqualityMatchesStringEquality(t *testing.T) {
 				ctx := fmt.Sprintf("trial %d pred=%v", trial, pred)
 				want := int64(len(wantMatchesSchema(t, recs, pred)))
 
-				run := func(vect bool) sim.TaskStats {
-					res, err := mapred.Run(fs, ScanDataset("/d").Where(pred).Vectorize(vect).Aggregate(count).AggJob())
-					if err != nil {
-						t.Fatalf("%s vect=%v: %v", ctx, vect, err)
-					}
-					rows := res.Agg.Rows()
-					if len(rows) != 1 || !aggValEqual(rows[0].Values[0], want) {
-						t.Fatalf("%s vect=%v: count %v, want %d", ctx, vect, rows, want)
-					}
-					return res.Total
+				res, err := mapred.Run(fs, ScanDataset("/d").Where(pred).Aggregate(count).AggJob())
+				if err != nil {
+					t.Fatalf("%s: %v", ctx, err)
 				}
-				idst := run(true)
-				sst := run(false)
-
-				if idst.GroupsPruned != sst.GroupsPruned || idst.RecordsPruned != sst.RecordsPruned ||
-					idst.BloomPruned != sst.BloomPruned || idst.SplitsPruned != sst.SplitsPruned ||
-					idst.RecordsFiltered != sst.RecordsFiltered {
-					t.Fatalf("%s: pruning counters diverge:\nid path %+v\nstring  %+v", ctx, idst, sst)
+				if rows := res.Agg.Rows(); len(rows) != 1 || !aggValEqual(rows[0].Values[0], want) {
+					t.Fatalf("%s: count %v, want %d", ctx, rows, want)
 				}
-				if sst.DictIdCompares != 0 {
-					t.Fatalf("%s: scalar path charged %d dict-id compares", ctx, sst.DictIdCompares)
-				}
+				idst := res.Total
+				checkReplayCounters(t, ctx, fs, "/d", pred, idst, want, int64(n))
 				// Rows that reach evaluation compare as ids, never as
 				// strings. An absent needle is answered by the dictionary
 				// probe alone — whole windows verdict without a single

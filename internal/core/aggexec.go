@@ -16,14 +16,11 @@ import (
 //     the predicate (Planner.MatchAllGroup) and every aggregate function is
 //     answerable from the region's ColStats (AggState.StatsAnswerable), the
 //     whole region folds with zero bytes decoded (AggGroupsShortcut).
-//  2. Vectors: regions needing evaluation run the same batch loop as a
-//     materializing vectorized scan — same batch boundaries, same pruning
-//     and filter counters — but the selected rows fold straight from the
-//     selection bitmap and the decoded vectors (FoldBatch); no record
-//     object is ever built.
-//  3. Records: with vectorization off (or a layout that cannot
-//     batch-decode) the scalar loop evaluates per record and folds the
-//     match (FoldRecord) — identical results, boxed-value costs.
+//  2. Vectors: every other region runs the same batch loop as a
+//     materializing scan — same batch boundaries, same pruning and filter
+//     counters — but the selected rows fold straight from the selection
+//     bitmap and the decoded vectors (FoldBatch); no record object is
+//     ever built.
 //
 // The logical counters stay bit-identical to a materializing scan: the
 // stats shortcut fires only inside regions the group tier would judge
@@ -57,30 +54,8 @@ func (r *Reader) DrainAggregate() (*scan.AggState, error) {
 			r.curPos = end - 1
 			continue
 		}
-		if r.vecOK {
-			if err := r.aggBatchFold(st); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		r.curPos++
-		if r.dels.has(r.curPos) {
-			continue
-		}
-		if r.planner.Predicate() != nil {
-			ok, err := r.qualifies()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		if err := st.FoldRecord(r.eval); err != nil {
+		if err := r.aggBatchFold(st); err != nil {
 			return nil, err
-		}
-		if r.stats != nil {
-			r.stats.RowsAggregated++
 		}
 	}
 }
@@ -136,35 +111,16 @@ func (r *Reader) aggStatsShortcut(st *scan.AggState, pos int64) (end int64, ok b
 	return end, true, nil
 }
 
-// aggBatchFold advances the vectorized aggregate loop one step from
-// curPos+1: group-tier pruning exactly as vecAdvance, then one batch whose
-// selected rows fold from vectors without surfacing. With no predicate the
-// full batch folds (selection all-set, no filter counters).
+// aggBatchFold advances the aggregate loop one step from curPos+1:
+// group-tier pruning exactly as vecAdvance, then one batch whose selected
+// rows fold from vectors without surfacing. With no predicate the full
+// batch folds (selection all-set, no filter counters).
 func (r *Reader) aggBatchFold(st *scan.AggState) error {
-	pos := r.curPos + 1
+	pos, end, ok := r.nextExtent()
+	if !ok {
+		return nil
+	}
 	pred := r.planner.Predicate()
-	if pred != nil && pos >= r.pruneValidTo {
-		tri, end, byBloom := r.planner.PruneGroup(pos, r.total, r.groupStats)
-		if tri == scan.NoMatch {
-			if r.stats != nil {
-				r.stats.GroupsPruned++
-				r.stats.RecordsPruned += end - pos
-				if byBloom {
-					r.stats.BloomPruned++
-				}
-			}
-			r.curPos = end - 1
-			return nil
-		}
-		r.pruneValidTo = end
-	}
-	end := r.total
-	if pred != nil && r.pruneValidTo < end {
-		end = r.pruneValidTo
-	}
-	if m := pos + vecBatchRows; m < end {
-		end = m
-	}
 	b := newColBatch(r, r.dirs[r.dirIdx], pos, end)
 	var sel *scan.Selection
 	if pred != nil {

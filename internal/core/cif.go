@@ -67,9 +67,6 @@ func resolveSpec(conf *mapred.JobConf) (scan.Spec, error) {
 	if !spec.NoBloom {
 		spec.NoBloom = !scan.BloomFromConf(conf)
 	}
-	if !spec.NoVec {
-		spec.NoVec = !scan.VectorizeFromConf(conf)
-	}
 	if spec.Agg == nil {
 		agg, err := scan.AggFromConf(conf)
 		if err != nil {
@@ -285,7 +282,7 @@ func (f *InputFormat) planDirs(fs *hdfs.FileSystem, conf *mapred.JobConf, allowE
 	plan.dps = f.dirsPerSplit(spec)
 	plan.report = scan.PruneReport{
 		Columns:    planner.FilterColumns(),
-		Vectorized: pred != nil && spec.Vectorize(),
+		Vectorized: pred != nil,
 	}
 	plan.elide = allowElide && pred != nil && spec.Elide()
 	for _, dataset := range conf.InputPaths {
@@ -526,12 +523,10 @@ type Reader struct {
 	// cache is the session's cross-batch scan cache (nil outside a caching
 	// Session); attached to every column-file stream this reader opens.
 	cache *hdfs.ScanCache
-	// vectorize selects batch-at-a-time predicate evaluation (vecexec.go):
-	// set when a predicate is present and the spec enables it. vecOK
-	// narrows it per open directory to cursor sets whose filter columns can
-	// all batch-decode; anything else runs the scalar loop below.
+	// vectorize marks a scan with a predicate or an aggregate: those run
+	// batch-at-a-time (vecexec.go, aggexec.go). Predicate-free projection
+	// scans stay record-at-a-time, the lazy-record path.
 	vectorize bool
-	vecOK     bool
 	// vecCache is the session's decoded-vector cache (nil disables);
 	// vecPool recycles batch scratch vectors.
 	vecCache *vec.Cache
@@ -574,9 +569,6 @@ type Reader struct {
 	total    int64 // records in the open split-directory
 	curPos   int64 // index of the record most recently returned by Next
 	done     bool
-	// eval is the column accessor predicate evaluation uses, built once
-	// per reader (Eval runs per record; the scan loop is hot).
-	eval evalCtx
 	// pruneValidTo bounds the records covered by the last MayMatch
 	// zone-map verdict; pruning re-runs only once curPos crosses it.
 	pruneValidTo int64
@@ -665,7 +657,7 @@ func newReader(fs *hdfs.FileSystem, dirs, dels []string, columns []string, spec 
 		noBloom:        !spec.Bloom(),
 		planner:        scan.NewPlanner(pred),
 		cache:          cache,
-		vectorize:      spec.Vectorize() && (pred != nil || agg != nil),
+		vectorize:      pred != nil || agg != nil,
 		vecCache:       vcache,
 		schema:         schema,
 		proj:           proj,
@@ -710,7 +702,6 @@ func newReader(fs *hdfs.FileSystem, dirs, dels []string, columns []string, spec 
 		}
 	}
 	r.lrec = &LazyRecord{reader: r}
-	r.eval = evalCtx{r}
 	if err := r.nextDir(); err != nil {
 		return nil, err
 	}
@@ -731,7 +722,6 @@ func (r *Reader) nextDir() error {
 		}
 		r.cursors = nil
 		r.byName = nil
-		r.vecOK = false
 		r.dirIdx++
 		if r.dirIdx >= len(r.dirs) {
 			r.done = true
@@ -763,7 +753,6 @@ func (r *Reader) nextDir() error {
 		}
 		r.curPos = -1
 		r.pruneValidTo = 0
-		r.vecOK = r.vecEligible()
 		return nil
 	}
 }
@@ -888,9 +877,8 @@ func (r *Reader) pruneDirFiles(files []*hdfs.FileReader) bool {
 // Next implements mapred.RecordReader. In lazy mode the returned Record is
 // reused across calls (like Hadoop Writables): use it before the next call.
 // With a predicate set, non-qualifying records are crossed inside this
-// loop: whole groups by zone-map pruning, then — vectorized — whole batches
-// evaluated at once with only the selected rows surfacing here, or —
-// scalar — single records after evaluating only the filter columns.
+// loop: whole groups by zone-map pruning, then whole batches evaluated at
+// once with only the selected rows surfacing here.
 func (r *Reader) Next() (any, any, bool, error) {
 	for {
 		if r.done {
@@ -916,24 +904,14 @@ func (r *Reader) Next() (any, any, bool, error) {
 			}
 			continue
 		}
-		if r.vecOK && r.planner.Predicate() != nil {
+		if r.planner.Predicate() != nil {
 			if err := r.vecAdvance(); err != nil {
 				return nil, nil, false, err
 			}
 			continue
 		}
 		r.curPos++
-		if r.dels.has(r.curPos) {
-			continue
-		}
-		if r.planner.Predicate() == nil {
-			break
-		}
-		ok, err := r.qualifies()
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if ok {
+		if !r.dels.has(r.curPos) {
 			break
 		}
 	}

@@ -13,9 +13,9 @@ import (
 // already sits inside an immutable flushed partition, so instead of
 // rewriting the partition the ingest path records the row's ordinal in a
 // delete file alongside it. Readers load the partition's delete set when
-// they open the directory and skip the listed ordinals — scalar loops
-// before predicate evaluation, vectorized loops by masking the batch's
-// input selection — so a superseded row is never delivered, filtered, or
+// they open the directory and skip the listed ordinals — record-at-a-time
+// scans by skipping them, batch scans by masking the batch's input
+// selection — so a superseded row is never delivered, filtered, or
 // folded. Compaction resolves the deletes physically (the merged partition
 // carries none) and the files retire with their directories.
 //

@@ -23,30 +23,29 @@
 // InputFormat.PlannedSplits runs the scheduler tier (split-directories
 // elided from whole-file footer statistics before any task exists);
 // Reader.openDir runs the file tier (an opened directory skipped from the
-// same aggregates before any header parse); Reader.qualifies runs the
+// same aggregates before any header parse); Reader.vecAdvance runs the
 // group tier (zone-map and Bloom proofs jump curPos past whole groups)
 // and the value tier (exact evaluation over filter columns only, with
 // DCSL map-key tests routed to the column reader's prober). SharedReader
 // replays the same consultation sequence per member job of a co-scheduled
 // batch so every member's logical accounting matches its solo run.
 //
-// The value tier executes batch-at-a-time by default (vecexec.go): a
-// may-match extent is decoded per filter column into scan.Vectors (fanned
-// across a bounded goroutine pool, or served whole from a session's
-// vec.Cache), the predicate runs once per batch via VecEval, and only
-// selected rows are materialized into the usual Next record shape. Batch
-// boundaries never cross a zone-map consultation boundary, so the pruning
-// trajectory and logical counters are bit-for-bit the scalar loop's; any
-// shape the batch path cannot take (no predicate, Spec.NoVec, a layout
-// without VectorDecoder, a shared set with a scalar member) falls back to
-// the record-at-a-time loop per directory. See docs/VECTORIZED.md.
+// The value tier executes batch-at-a-time (vecexec.go): a may-match extent
+// is decoded per filter column into scan.Vectors (fanned across a bounded
+// goroutine pool, or served whole from a session's vec.Cache), the
+// predicate runs once per batch via VecEval, and only selected rows are
+// materialized into the usual Next record shape. Batch boundaries never
+// cross a zone-map consultation boundary, so the pruning trajectory is
+// that of one group-tier consultation per may-match region. Every scan
+// with a predicate or an aggregate, solo or shared, takes this path; only
+// predicate-free, aggregate-free projection scans read record at a time,
+// the paper's lazy-record path. See docs/VECTORIZED.md.
 //
 // Jobs that only fold an aggregate skip records entirely (aggexec.go,
 // docs/AGGREGATION.md): with scan.Spec.Agg set, Reader.DrainAggregate
 // answers whole MatchAll regions from zone statistics with zero bytes
-// decoded, folds batch survivors straight from selection bitmaps and
-// vectors, and falls back to per-record folding where batching cannot
-// run — same pruning trajectory, RecordsProcessed zero. Equality
+// decoded and folds batch survivors straight from selection bitmaps and
+// vectors — same pruning trajectory, RecordsProcessed zero. Equality
 // predicates on DCSL string/bytes columns evaluate over window-local
 // dictionary ids (colfile.DecodeIDVector) when no consumer needs the
 // strings themselves, turning string decode into integer compares.

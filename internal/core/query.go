@@ -61,16 +61,6 @@ func (b *ScanBuilder) Bloom(on bool) *ScanBuilder {
 	return b
 }
 
-// Vectorize enables or disables batch predicate execution (default on).
-// With a predicate set, record groups are decoded per column into typed
-// vectors and evaluated batch-at-a-time over selection bitmaps; results,
-// record order, and pruning counters are identical either way, only the
-// decode cost model changes. Off restores the record-at-a-time loop.
-func (b *ScanBuilder) Vectorize(on bool) *ScanBuilder {
-	b.spec.NoVec = !on
-	return b
-}
-
 // Aggregate pushes an aggregation into the scan: the functions (and the
 // optional GROUP BY) are answered inside the readers — from zone
 // statistics where they suffice, from decoded vectors otherwise — and no

@@ -19,11 +19,10 @@ import (
 //     columns, and the pushdown predicate is the union (OR) of the members'
 //     predicates, so group pruning jumps only the regions *no* member can
 //     match and the scan runs at the union's selectivity;
-//   - each record surfacing from the union scan is demultiplexed by the
-//     members' residual predicates (identical residuals share one verdict
-//     per record via scan.Union's eval groups), and qualifying members
-//     receive the record under their own projection and materialization
-//     mode;
+//   - each batch of the union scan is demultiplexed by the members'
+//     residual predicates (identical residuals share one VecEval per batch
+//     via scan.Union's eval groups), and qualifying members receive each
+//     record under their own projection and materialization mode;
 //   - each member keeps solo-exact logical accounting. The member's own
 //     planner replays the solo reader's group-tier consultation sequence —
 //     the same positions, the same verdicts, the same extents — so per-job
@@ -284,7 +283,6 @@ func (f *InputFormat) OpenShared(fs *hdfs.FileSystem, confs []*mapred.JobConf, s
 	}
 	preds := make([]scan.Predicate, len(members))
 	anyNoBloom := false
-	allVec := true
 	for k, mi := range members {
 		conf := confs[mi]
 		spec, err := resolveSpec(conf)
@@ -294,11 +292,10 @@ func (f *InputFormat) OpenShared(fs *hdfs.FileSystem, confs []*mapred.JobConf, s
 		if spec.NoBloom {
 			anyNoBloom = true
 		}
-		if spec.NoVec {
-			// One scalar member makes the whole cursor set scalar: the
-			// switch is an A/B lever, and mixing modes inside one batch
-			// would blur what it measures.
-			allVec = false
+		if spec.Predicate != nil || spec.Agg != nil {
+			// Any filtered or aggregating member puts the whole cursor set
+			// on the batch path; unfiltered members take their wants.
+			sr.vectorize = true
 		}
 		if sr.cache == nil {
 			// All members of a session batch carry the same cache; take the
@@ -380,17 +377,11 @@ func (f *InputFormat) OpenShared(fs *hdfs.FileSystem, confs []*mapred.JobConf, s
 	// otherwise differ from that member's solo run).
 	sr.noBloom = anyNoBloom
 	sr.planner.SetBloom(!anyNoBloom)
-	sr.evalPos = make([]int64, union.NumGroups)
-	sr.evalOK = make([]bool, union.NumGroups)
 	for k, m := range sr.members {
 		m.evalGroup = union.EvalGroups[k]
 	}
-	// Vectorized demux state: one residual predicate per evaluation group
-	// (identical residuals share one batch verdict, like the scalar
-	// evalPos/evalOK dedup). Vectorization needs every member filtered —
-	// union.Shared nil means some member takes every record, and the batch
-	// path has nothing to evaluate.
-	sr.vectorize = allVec && union.Shared != nil
+	// Batch demux state: one residual predicate per evaluation group
+	// (identical residuals share one batch verdict).
 	sr.groupPred = make([]scan.Predicate, union.NumGroups)
 	for k, m := range sr.members {
 		if g := m.evalGroup; g >= 0 && sr.groupPred[g] == nil {
@@ -494,18 +485,14 @@ type SharedReader struct {
 	pruneValidTo int64
 	done         bool
 
-	// Residual-evaluation dedup: one verdict per eval group per record.
-	evalPos []int64
-	evalOK  []bool
 	// matCounted is the record most recently counted as materialized
 	// (once per record, however many members consumed it).
 	matCounted int64
 
-	// Vectorized demux (vecexec.go): groupPred holds one residual per eval
-	// group; per batch, memberSel[i] is member i's match bitmap and batch
-	// the evaluated batch. vecOK narrows vectorize per directory.
+	// Batch demux (vecexec.go), on when any member filters or aggregates:
+	// groupPred holds one residual per eval group; per batch, memberSel[i]
+	// is member i's match bitmap and batch the evaluated batch.
 	vectorize bool
-	vecOK     bool
 	vecCache  *vec.Cache
 	vecPool   vec.Pool
 	probeOnly map[string]bool
@@ -555,7 +542,6 @@ type sharedMember struct {
 // directory of the split.
 func (sr *SharedReader) nextDir() error {
 	sr.releaseBatch()
-	sr.vecOK = false
 	sr.closeCursors()
 	sr.dirIdx++
 	if sr.dirIdx >= len(sr.dirs) {
@@ -585,13 +571,9 @@ func (sr *SharedReader) nextDir() error {
 	sr.curPos = -1
 	sr.pruneValidTo = 0
 	sr.matCounted = -1
-	for i := range sr.evalPos {
-		sr.evalPos[i] = -1
-	}
 	for _, m := range sr.members {
 		m.acctPos, m.validTo = 0, 0
 	}
-	sr.vecOK = sr.vecEligible()
 	return nil
 }
 
@@ -710,56 +692,26 @@ func (sr *SharedReader) Next() (any, []any, []int, bool, error) {
 			}
 			continue
 		}
-		if sr.vecOK {
+		if sr.vectorize {
 			if err := sr.vecAdvance(); err != nil {
 				return nil, nil, nil, false, err
 			}
 			continue
 		}
+		// Predicate-free projection members only: every member takes every
+		// live record, record at a time (the lazy-record path).
 		sr.curPos++
 		pos := sr.curPos
-		// Union group tier: skip regions no member can match. The union
-		// extent is the narrowest group consulted across every member's
-		// filter columns, so each member's own accounting re-proves (and
-		// counts) the skip at its own granularity below.
-		if sr.planner.Predicate() != nil && pos >= sr.pruneValidTo {
-			tri, end, byBloom := sr.planner.PruneGroup(pos, sr.total, sr.groupStats)
-			if tri == scan.NoMatch {
-				sr.shared.GroupsPruned++
-				sr.shared.RecordsPruned += end - pos
-				if byBloom {
-					sr.shared.BloomPruned++
-				}
-				sr.curPos = end - 1
-				continue
-			}
-			sr.pruneValidTo = end
-		}
 		if sr.dels.has(pos) {
 			continue
 		}
 		sr.outVals = sr.outVals[:0]
 		sr.outIdx = sr.outIdx[:0]
 		for mi, m := range sr.members {
-			if !sr.memberWants(m, pos) {
-				continue
-			}
-			match, err := sr.memberMatch(m, pos)
-			if err != nil {
-				return nil, nil, nil, false, err
-			}
+			// Without a predicate every record is wanted; the call keeps
+			// the member's replay accounting in step.
+			sr.memberWants(m, pos)
 			m.acctPos = pos + 1
-			if !match {
-				m.stats.RecordsFiltered++
-				continue
-			}
-			if m.aggState != nil {
-				if err := m.aggState.FoldRecord(sharedEval{sr}); err != nil {
-					return nil, nil, nil, false, err
-				}
-				m.stats.RowsAggregated++
-				continue
-			}
 			v, err := sr.deliver(m)
 			if err != nil {
 				return nil, nil, nil, false, err
@@ -767,9 +719,7 @@ func (sr *SharedReader) Next() (any, []any, []int, bool, error) {
 			sr.outVals = append(sr.outVals, v)
 			sr.outIdx = append(sr.outIdx, mi)
 		}
-		if len(sr.outIdx) > 0 {
-			return nil, sr.outVals, sr.outIdx, true, nil
-		}
+		return nil, sr.outVals, sr.outIdx, true, nil
 	}
 }
 
@@ -834,28 +784,6 @@ func (sr *SharedReader) memberWants(m *sharedMember, pos int64) bool {
 		m.validTo = end
 	}
 	return true
-}
-
-// memberMatch decides m's residual predicate for the current record,
-// sharing verdicts between members with identical residuals.
-func (sr *SharedReader) memberMatch(m *sharedMember, pos int64) (bool, error) {
-	p := m.planner.Predicate()
-	if p == nil {
-		return true, nil
-	}
-	g := m.evalGroup
-	if g >= 0 && sr.evalPos[g] == pos {
-		return sr.evalOK[g], nil
-	}
-	ok, err := p.Eval(sharedEval{sr})
-	if err != nil {
-		return false, err
-	}
-	if g >= 0 {
-		sr.evalPos[g] = pos
-		sr.evalOK[g] = ok
-	}
-	return ok, nil
 }
 
 // deliver materializes the current record for one member, under the
@@ -964,42 +892,6 @@ func (sr *SharedReader) valueAt(c *cursor) (any, error) {
 	c.cached = v
 	c.cachedPos = sr.curPos
 	return v, nil
-}
-
-// sharedEval adapts the SharedReader to scan.Evaluator for residual
-// evaluation (cf. evalCtx in scanexec.go).
-type sharedEval struct {
-	sr *SharedReader
-}
-
-// Value implements scan.Evaluator.
-func (e sharedEval) Value(col string) (any, error) {
-	c, ok := e.sr.byName[col]
-	if !ok {
-		return nil, fmt.Errorf("core: column %q is not in the shared cursor set %v", col, e.sr.allCols)
-	}
-	return e.sr.valueAt(c)
-}
-
-// HasKey implements scan.Evaluator: map-key tests on probing layouts are
-// decided without materializing the map value.
-func (e sharedEval) HasKey(col, key string) (bool, bool, error) {
-	sr := e.sr
-	c, ok := sr.byName[col]
-	if !ok {
-		return false, false, fmt.Errorf("core: column %q is not in the shared cursor set %v", col, sr.allCols)
-	}
-	if c.cachedPos == sr.curPos {
-		return false, false, nil
-	}
-	kp, ok := c.r.(colfile.KeyProber)
-	if !ok {
-		return false, false, nil
-	}
-	if err := c.r.SkipTo(sr.curPos); err != nil {
-		return false, false, fmt.Errorf("core: column %q skip to %d: %w", c.name, sr.curPos, err)
-	}
-	return kp.HasKey(key)
 }
 
 // sharedLazyRecord is one member's lazy view over the shared cursor set —

@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"colmr/internal/colfile"
@@ -180,5 +183,79 @@ func TestSharedSplitsMemberSets(t *testing.T) {
 	}
 	if soloDirs == 0 {
 		t.Fatal("no directory remained single-member (jobs 0 and 2 have exclusive regions)")
+	}
+}
+
+// TestSharedScanMixedBatchVectorizes: a shared batch mixing an unfiltered
+// member with a filtered member and a filtered COUNT runs on the batch
+// path, and each member's output and logical counters equal its solo run.
+func TestSharedScanMixedBatchVectorizes(t *testing.T) {
+	fs := hdfs.New(sim.SingleNode(), 1)
+	loadClustered(t, fs, "/mix", 1600, 16)
+	pred := scan.Le("y", int32(4))
+	count, err := scan.ParseAggregate("count")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	rows := make([][]string, 2)
+	collect := func(m int) mapred.Mapper {
+		return mapred.MapperFunc(func(_, v any, _ mapred.Emit) error {
+			s, err := v.(serde.Record).Get("s")
+			if err != nil {
+				return err
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			rows[m] = append(rows[m], s.(string))
+			return nil
+		})
+	}
+	jobs := func() []*mapred.Job {
+		return []*mapred.Job{
+			ScanDataset("/mix").Columns("s").Job(collect(0)),
+			ScanDataset("/mix").Columns("s").Where(pred).Job(collect(1)),
+			ScanDataset("/mix").Where(pred).Aggregate(count).AggJob(),
+		}
+	}
+	var solo []*mapred.Result
+	for _, job := range jobs() {
+		res, err := mapred.Run(fs, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo = append(solo, res)
+	}
+	soloRows := rows
+	rows = make([][]string, 2)
+	br, err := mapred.RunBatch(fs, jobs()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br.SharedTasks == 0 {
+		t.Fatal("the members were never co-scheduled")
+	}
+	if br.Shared.VecBatches == 0 {
+		t.Fatal("the mixed shared batch never took the batch path")
+	}
+	for m := range rows {
+		sort.Strings(rows[m])
+		sort.Strings(soloRows[m])
+		if !reflect.DeepEqual(rows[m], soloRows[m]) {
+			t.Fatalf("member %d: batch delivered %d rows, solo %d, or their values differ",
+				m, len(rows[m]), len(soloRows[m]))
+		}
+	}
+	if got, want := fmt.Sprint(br.Results[2].Agg.Rows()), fmt.Sprint(solo[2].Agg.Rows()); got != want {
+		t.Fatalf("count member: batch %s, solo %s", got, want)
+	}
+	for m, res := range br.Results {
+		b, s := res.Total, solo[m].Total
+		if b.RecordsProcessed != s.RecordsProcessed || b.RecordsPruned != s.RecordsPruned ||
+			b.RecordsFiltered != s.RecordsFiltered || b.GroupsPruned != s.GroupsPruned ||
+			b.BloomPruned != s.BloomPruned || b.SplitsPruned != s.SplitsPruned ||
+			b.RowsAggregated != s.RowsAggregated {
+			t.Fatalf("member %d: logical counters differ:\nbatch %+v\nsolo  %+v", m, b, s)
+		}
 	}
 }

@@ -10,29 +10,22 @@ import (
 	"colmr/internal/vec"
 )
 
-// Vectorized batch execution. With a predicate set (and scan.Spec.NoVec
-// unset) the readers stop deciding one record at a time: record groups are
-// decoded per column into typed vectors and the predicate runs
-// batch-at-a-time over selection bitmaps (scan.VecEval). Only selected rows
-// are then materialized into the same record shape Next has always
-// returned, so everything downstream of the reader is untouched.
+// Vectorized batch execution: the only execution path for scans with a
+// predicate or an aggregate. Record groups are decoded per column into
+// typed vectors and the predicate runs batch-at-a-time over selection
+// bitmaps (scan.VecEval). Only selected rows are then materialized into the
+// same record shape Next returns for predicate-free scans, so everything
+// downstream of the reader is untouched.
 //
-// The batch boundaries follow the exact zone-map consultation trajectory of
-// the scalar loop — a batch never crosses pruneValidTo — so the logical
-// counters (GroupsPruned, RecordsPruned, RecordsFiltered) are identical
-// vectorized or not; the property tests' vectorize dimension asserts it
-// along with byte-identical outputs. What changes is the decode accounting:
-// primitive values land in flat vector storage at CostModel.VecRate instead
-// of the boxed per-object rates, per-column decodes fan across a bounded
+// A batch never crosses pruneValidTo, the extent of the last zone-map
+// verdict, so the logical counters (GroupsPruned, RecordsPruned,
+// RecordsFiltered) are exactly those of consulting the group tier once per
+// may-match region; the property tests check them against a replay of
+// scan.Planner.PruneGroup over the files' group statistics and rows against
+// scan-then-filter in the mapper. Primitive values land in flat vector
+// storage at CostModel.VecRate, per-column decodes fan across a bounded
 // goroutine pool, and a session's vec.Cache can serve a whole batch without
 // decoding (or reading) anything at all.
-//
-// One evaluation error semantics difference is accepted: the scalar loop
-// surfaces a mid-group type error only after delivering the group's earlier
-// matches, while a batch surfaces it before delivering any of the batch's
-// rows. The verdict — which rows match, and whether the scan errors — is
-// identical; only the delivery/error interleaving differs, and only on
-// scans that fail.
 
 // vecBatchRows bounds one batch. Group extents are typically smaller (the
 // batch is clipped to the zone-map verdict's validity), so this matters
@@ -161,8 +154,8 @@ func (b *colBatch) decode(col string) *colVecEntry {
 	}
 	dec, ok := c.r.(colfile.VectorDecoder)
 	if !ok {
-		// Unreachable under vecEligible; kept as a real error so a future
-		// layout missing VectorDecoder fails loudly, not wrongly.
+		// Every layout implements VectorDecoder; kept as a real error so a
+		// future layout missing it fails loudly, not wrongly.
 		return &colVecEntry{err: fmt.Errorf("core: column %q layout cannot batch-decode", col)}
 	}
 	kind := colfile.VecKindOf(c.schema)
@@ -317,8 +310,7 @@ func (b *colBatch) release() {
 // before evaluation, fanning them across a bounded goroutine pool when the
 // host's sinks allow concurrency. Decode errors are memoized, not returned:
 // evaluation surfaces them in its own deterministic order, and an error in
-// a column the short-circuit order never reaches is swallowed exactly like
-// the scalar path never reaching it.
+// a column the short-circuit order never reaches is never surfaced.
 func (b *colBatch) prefetch(cols []string, parallel bool) {
 	warm := func(col string) {
 		e := b.decode(col)
@@ -381,36 +373,6 @@ func (r *Reader) batchDictCompares(n int64) {
 	}
 }
 
-// vecEligible decides, per directory, whether the batch path runs: a
-// predicate or aggregate is set, the spec enables vectorization, and every
-// filter and aggregate column's layout can batch-decode. Anything else
-// falls back to the scalar loop — identical results, record-at-a-time
-// control flow.
-func (r *Reader) vecEligible() bool {
-	if !r.vectorize || (r.planner.Predicate() == nil && r.agg == nil) {
-		return false
-	}
-	for _, col := range r.planner.FilterColumns() {
-		c, ok := r.byName[col]
-		if !ok {
-			return false
-		}
-		if _, ok := c.r.(colfile.VectorDecoder); !ok {
-			return false
-		}
-	}
-	for _, col := range r.aggCols {
-		c, ok := r.byName[col]
-		if !ok {
-			return false
-		}
-		if _, ok := c.r.(colfile.VectorDecoder); !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // eagerCols filters the predicate's certain columns down to those the
 // prefetch fan-out may decode as value vectors: an id-only column must not
 // be prefetched, or its consumed stream would block the id path VecEval is
@@ -429,13 +391,12 @@ func (r *Reader) eagerCols() []string {
 	return out
 }
 
-// vecAdvance drives the batch loop one step from curPos+1: it either prunes
-// a group (advancing curPos exactly as the scalar loop would), or builds
-// and evaluates the next batch. On return either r.batch holds a batch with
-// a non-empty selection, or curPos advanced past a pruned/empty region; the
-// caller's scan loop re-checks bounds either way.
-func (r *Reader) vecAdvance() error {
-	pos := r.curPos + 1
+// nextExtent runs the group tier at curPos+1 when the last verdict has run
+// out. On a NoMatch proof it counts the pruned group, advances curPos past
+// it and returns ok=false; otherwise it returns the next batch [pos, end),
+// clipped to the verdict's extent and to vecBatchRows.
+func (r *Reader) nextExtent() (pos, end int64, ok bool) {
+	pos = r.curPos + 1
 	if pos >= r.pruneValidTo {
 		tri, end, byBloom := r.planner.PruneGroup(pos, r.total, r.groupStats)
 		if tri == scan.NoMatch {
@@ -447,22 +408,27 @@ func (r *Reader) vecAdvance() error {
 				}
 			}
 			r.curPos = end - 1
-			return nil
+			return 0, 0, false
 		}
 		r.pruneValidTo = end
 	}
-	end := r.pruneValidTo
-	if end > r.total {
-		end = r.total
-	}
-	if m := pos + vecBatchRows; m < end {
-		end = m
+	return pos, min(r.pruneValidTo, r.total, pos+vecBatchRows), true
+}
+
+// vecAdvance drives the batch loop one step from curPos+1: it either prunes
+// a group (advancing curPos past the proven extent), or builds
+// and evaluates the next batch. On return either r.batch holds a batch with
+// a non-empty selection, or curPos advanced past a pruned/empty region; the
+// caller's scan loop re-checks bounds either way.
+func (r *Reader) vecAdvance() error {
+	pos, end, ok := r.nextExtent()
+	if !ok {
+		return nil
 	}
 	b := newColBatch(r, r.dirs[r.dirIdx], pos, end)
 	b.prefetch(r.eagerCols(), true)
 	// Deleted (superseded) rows are masked out of the input selection, so
-	// they are neither evaluated nor counted — the exact rows the scalar
-	// loop skips before its predicate check.
+	// they are neither evaluated nor counted.
 	in := scan.NewSelection(b.n)
 	del := r.dels.mask(in, pos, end)
 	sel, err := r.planner.Predicate().VecEval(b, in)
@@ -541,27 +507,10 @@ func (sr *SharedReader) batchIDOnly(col string) bool { return sr.idOnly[col] }
 // the compare count lands in the shared physical stats directly.
 func (sr *SharedReader) batchDictCompares(n int64) { sr.shared.DictIdCompares += n }
 
-// vecEligible is the shared-scan analogue of Reader.vecEligible, judged over
-// the union predicate's filter columns.
-func (sr *SharedReader) vecEligible() bool {
-	if !sr.vectorize || sr.planner.Predicate() == nil {
-		return false
-	}
-	for _, col := range sr.planner.FilterColumns() {
-		c, ok := sr.byName[col]
-		if !ok {
-			return false
-		}
-		if _, ok := c.r.(colfile.VectorDecoder); !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // vecAdvance drives the shared batch loop one step from curPos+1: union
-// group-tier pruning exactly as the scalar loop, then batch evaluation of the
-// next may-match extent.
+// group-tier pruning, then batch evaluation of the next may-match extent.
+// With no union predicate (an unfiltered member) nothing prunes and batches
+// are vecBatchRows long.
 func (sr *SharedReader) vecAdvance() error {
 	pos := sr.curPos + 1
 	if pos >= sr.pruneValidTo {
@@ -589,10 +538,11 @@ func (sr *SharedReader) vecAdvance() error {
 
 // buildBatch evaluates [start, end) for every member. Each member's solo
 // replay marks the rows it must evaluate (its want bitmap — the same
-// consultation positions, verdicts, and counter updates as the scalar demux
-// loop); each distinct residual then runs one VecEval over the union of its
-// members' wants; a member's matches are its wants intersected with its eval
-// group's verdict. The batch is kept when any member matched.
+// consultation positions, verdicts, and counter updates as its solo run);
+// each distinct residual then runs one VecEval over the union of its
+// members' wants; a member's matches are its wants intersected with its
+// eval group's verdict, and a member without a residual matches its wants.
+// The batch is kept when any member matched.
 func (sr *SharedReader) buildBatch(start, end int64) error {
 	b := newColBatch(sr, sr.dirs[sr.dirIdx], start, end)
 	wants := make([]*scan.Selection, len(sr.members))
@@ -600,7 +550,7 @@ func (sr *SharedReader) buildBatch(start, end int64) error {
 		w := scan.NewEmptySelection(b.n)
 		for pos := start; pos < end; pos++ {
 			// Superseded rows are invisible: never wanted, never evaluated,
-			// never folded — as in the scalar demux loop's skip.
+			// never folded.
 			if sr.dels.has(pos) {
 				continue
 			}
@@ -612,8 +562,8 @@ func (sr *SharedReader) buildBatch(start, end int64) error {
 		wants[mi] = w
 	}
 	// One VecEval per distinct residual, restricted to the rows some member
-	// of the group wants — rows nothing wants are never evaluated, matching
-	// the scalar path's work (and its immunity to their errors).
+	// of the group wants — rows nothing wants are never evaluated (nor can
+	// their values raise errors).
 	groupSel := make([]*scan.Selection, len(sr.groupPred))
 	for g, p := range sr.groupPred {
 		if p == nil {

@@ -124,13 +124,12 @@ func rowKey(rec *serde.GenericRecord) string {
 
 // scanRows runs a full-record scan as one map task (DirsPerSplit pinned
 // high so row order is the dataset's scan order).
-func scanRows(t *testing.T, fs *hdfs.FileSystem, dataset string, pred scan.Predicate, vectorize bool) []string {
+func scanRows(t *testing.T, fs *hdfs.FileSystem, dataset string, pred scan.Predicate) []string {
 	t.Helper()
 	var mu sync.Mutex
 	var rows []string
 	job := core.ScanDataset(dataset).
 		Where(pred).
-		Vectorize(vectorize).
 		DirsPerSplit(1 << 20).
 		Job(mapred.MapperFunc(func(_, v any, _ mapred.Emit) error {
 			mu.Lock()
@@ -144,13 +143,13 @@ func scanRows(t *testing.T, fs *hdfs.FileSystem, dataset string, pred scan.Predi
 	return rows
 }
 
-func aggRows(t *testing.T, fs *hdfs.FileSystem, dataset, spec string, pred scan.Predicate, vectorize bool) string {
+func aggRows(t *testing.T, fs *hdfs.FileSystem, dataset, spec string, pred scan.Predicate) string {
 	t.Helper()
 	agg, err := scan.ParseAggregate(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := core.ScanDataset(dataset).Where(pred).Vectorize(vectorize).Aggregate(agg).AggJob()
+	job := core.ScanDataset(dataset).Where(pred).Aggregate(agg).AggJob()
 	res, err := mapred.Run(fs, job)
 	if err != nil {
 		t.Fatal(err)
@@ -231,18 +230,16 @@ func TestIngestCompactEquivalence(t *testing.T) {
 				scan.Gt("fetchTime", mid),
 			}
 			for pi, pred := range preds {
-				for _, vec := range []bool{true, false} {
-					got := scanRows(t, fsI, "/live/crawl", pred, vec)
-					want := scanRows(t, fsB, "/bulk/crawl", pred, vec)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("pred %d vec=%v: ingest scan (%d rows) != bulk scan (%d rows)",
-							pi, vec, len(got), len(want))
-					}
-					ga := aggRows(t, fsI, "/live/crawl", "count,count(url),min(fetchTime),max(fetchTime),sum(fetchTime),avg(fetchTime)", pred, vec)
-					wa := aggRows(t, fsB, "/bulk/crawl", "count,count(url),min(fetchTime),max(fetchTime),sum(fetchTime),avg(fetchTime)", pred, vec)
-					if ga != wa {
-						t.Fatalf("pred %d vec=%v: ingest agg %s != bulk agg %s", pi, vec, ga, wa)
-					}
+				got := scanRows(t, fsI, "/live/crawl", pred)
+				want := scanRows(t, fsB, "/bulk/crawl", pred)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("pred %d: ingest scan (%d rows) != bulk scan (%d rows)",
+						pi, len(got), len(want))
+				}
+				ga := aggRows(t, fsI, "/live/crawl", "count,count(url),min(fetchTime),max(fetchTime),sum(fetchTime),avg(fetchTime)", pred)
+				wa := aggRows(t, fsB, "/bulk/crawl", "count,count(url),min(fetchTime),max(fetchTime),sum(fetchTime),avg(fetchTime)", pred)
+				if ga != wa {
+					t.Fatalf("pred %d: ingest agg %s != bulk agg %s", pi, ga, wa)
 				}
 			}
 		})
@@ -303,8 +300,8 @@ func TestIngestSharedScanEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want0 := scanRows(t, fsB, "/bulk/crawl", pred1, true)
-	want1 := scanRows(t, fsB, "/bulk/crawl", pred2, true)
+	want0 := scanRows(t, fsB, "/bulk/crawl", pred1)
+	want1 := scanRows(t, fsB, "/bulk/crawl", pred2)
 	sort.Strings(rows[0])
 	sort.Strings(rows[1])
 	sortedCopy := func(s []string) []string {
@@ -319,7 +316,7 @@ func TestIngestSharedScanEquivalence(t *testing.T) {
 		t.Errorf("shared member 1: %d rows, want %d", len(rows[1]), len(want1))
 	}
 	gotAgg := fmt.Sprintf("%v", br.Results[2].Agg.Rows())
-	wantAgg := aggRows(t, fsB, "/bulk/crawl", "count,avg(fetchTime)", pred2, true)
+	wantAgg := aggRows(t, fsB, "/bulk/crawl", "count,avg(fetchTime)", pred2)
 	if gotAgg != wantAgg {
 		t.Errorf("shared agg member: %s, want %s", gotAgg, wantAgg)
 	}
@@ -443,7 +440,7 @@ func TestIngestFreshPartitionCounters(t *testing.T) {
 	}
 
 	var stats sim.TaskStats
-	pre := scanRows(t, fs, "/live/crawl", nil, true)
+	pre := scanRows(t, fs, "/live/crawl", nil)
 	job := core.ScanDataset("/live/crawl").DirsPerSplit(1 << 20).
 		Job(mapred.MapperFunc(func(_, _ any, _ mapred.Emit) error { return nil }))
 	res, err := mapred.Run(fs, job)
@@ -469,7 +466,7 @@ func TestIngestFreshPartitionCounters(t *testing.T) {
 	if res.Total.FreshPartitionsScanned != 0 {
 		t.Errorf("compacted dataset still scanned %d fresh partitions", res.Total.FreshPartitionsScanned)
 	}
-	post := scanRows(t, fs, "/live/crawl", nil, true)
+	post := scanRows(t, fs, "/live/crawl", nil)
 	if !reflect.DeepEqual(pre, post) {
 		t.Error("compaction changed scan results")
 	}

@@ -146,12 +146,6 @@ func bpJob(rng *rand.Rand, schema *serde.Schema, dataset, out string) *mapred.Jo
 		// forcing the union tier to stay conservative for the dissenter.
 		scan.SetBloom(&conf, false)
 	}
-	if rng.Intn(3) == 0 {
-		// The vectorize dimension: scalar members in otherwise-vectorized
-		// batches force the whole cursor set scalar, and a solo run in the
-		// other mode must still produce identical outputs and counters.
-		scan.SetVectorize(&conf, false)
-	}
 
 	job := &mapred.Job{
 		Conf:  conf,

@@ -18,9 +18,9 @@ import (
 //   - vectors: batches that need evaluation fold straight from the
 //     selection bitmap and the decoded column vectors (FoldBatch); the
 //     rows never become records.
-//   - records: the scalar fallback folds materialized values (FoldRecord),
-//     identical in result, used when vectorized execution is off or the
-//     input format cannot push the aggregate down.
+//   - records: materialized values fold one record at a time
+//     (FoldRecord), identical in result, used when the input format cannot
+//     push the aggregate down.
 //
 // All three sites produce bit-identical results: the fold order is
 // commutative (count/sum additions, CompareValues min/max), so the only
@@ -473,8 +473,8 @@ func (s *AggState) FoldBatch(sel *Selection, src VecSource) (int64, error) {
 	return rows, nil
 }
 
-// FoldRecord folds one record's values — the scalar site, identical in
-// result to FoldBatch over a one-row selection.
+// FoldRecord folds one record's values — the per-record site, identical
+// in result to FoldBatch over a one-row selection.
 func (s *AggState) FoldRecord(ev Evaluator) error {
 	var g *aggGroup
 	if s.agg.GroupBy != "" {

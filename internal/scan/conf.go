@@ -32,12 +32,6 @@ type Spec struct {
 	// stats footers are simply not consulted, so outputs must be identical
 	// either way (the property tests' bloom dimension).
 	NoBloom bool
-	// NoVec disables vectorized batch execution, forcing the record-at-a-
-	// time scalar path. The zero value — vectorize on — is the default.
-	// Like NoElide/NoBloom it is a read-side switch with identical outputs
-	// either way (the property tests' vectorize dimension); it exists as
-	// the escape hatch and the A/B lever for the vectorization benchmarks.
-	NoVec bool
 	// DirsPerSplit assigns this many split-directories to one map task,
 	// overriding the input format's own setting when non-zero
 	// (core.AutoDirsPerSplit sizes tasks from estimated selectivity).
@@ -54,9 +48,6 @@ func (s *Spec) Elide() bool { return !s.NoElide }
 
 // Bloom reports whether Bloom-filter consultation is enabled.
 func (s *Spec) Bloom() bool { return !s.NoBloom }
-
-// Vectorize reports whether vectorized batch execution is enabled.
-func (s *Spec) Vectorize() bool { return !s.NoVec }
 
 // Clone returns a copy sharing the (immutable) predicate and a fresh
 // projection slice.
@@ -95,7 +86,7 @@ func (s *Spec) Equal(o *Spec) bool {
 		return false
 	}
 	return s.Lazy == o.Lazy && s.NoElide == o.NoElide && s.NoBloom == o.NoBloom &&
-		s.NoVec == o.NoVec && s.DirsPerSplit == o.DirsPerSplit
+		s.DirsPerSplit == o.DirsPerSplit
 }
 
 // Conf is the slice of mapred.JobConf this package needs: free-form string
@@ -194,26 +185,6 @@ func SetBloom(conf Conf, on bool) {
 // (the default).
 func BloomFromConf(conf Conf) bool {
 	return conf.Get(BloomProp) != "false"
-}
-
-// VectorizeProp is the job property controlling vectorized batch execution
-// ("false" disables it; anything else, including unset, enables it). Like
-// ElideProp it is consulted only when the typed Spec leaves the setting at
-// its default.
-const VectorizeProp = "scan.vectorize"
-
-// SetVectorize enables or disables vectorized batch execution for a job —
-// the compatibility wrapper over Spec.NoVec. Enabling (the default state)
-// clears the legacy prop rather than writing a placeholder value.
-func SetVectorize(conf Conf, on bool) {
-	conf.ScanSpec().NoVec = !on
-	conf.Del(VectorizeProp)
-}
-
-// VectorizeFromConf reports whether a specless conf enables vectorized
-// execution (the default).
-func VectorizeFromConf(conf Conf) bool {
-	return conf.Get(VectorizeProp) != "false"
 }
 
 // AggProp is the job property carrying the serialized aggregate spec (the

@@ -21,7 +21,7 @@
 //	Prune     conservative, per record group, over ColStats — NoMatch
 //	          proves the group holds no qualifying record;
 //	MatchAll  conservative, per record group — true proves every record
-//	          in the group qualifies (the dual Prune needs to invert NOT
+//	          in the group matches (the dual Prune needs to invert NOT
 //	          soundly).
 //
 // ColStats carries the statistics one record group (or one whole file,
@@ -62,8 +62,7 @@
 //
 //   - Pushdown equivalence (property_test.go): a pushdown scan returns
 //     exactly the records a full scan plus an in-memory filter returns,
-//     over random schemas, predicates, layouts, projections, and both
-//     execution modes (the vectorize dimension is randomized) — Prune
+//     over random schemas, predicates, layouts, and projections — Prune
 //     and MatchAll are proofs, never heuristics.
 //   - Vectorized equivalence (vector_test.go): VecEval's selection
 //     bitmaps equal per-record Eval verdicts — including which inputs

@@ -213,9 +213,9 @@ type PruneReport struct {
 	// Columns are the predicate's filter columns, whose files were
 	// consulted.
 	Columns []string
-	// Vectorized reports which execution path the job's readers run:
-	// batch-at-a-time vector evaluation, or the record-at-a-time scalar
-	// loop (predicate-less scans and Spec.NoVec both report false).
+	// Vectorized reports whether the job's readers evaluate a predicate
+	// batch-at-a-time over decoded vectors: true whenever a predicate is
+	// set, false for predicate-free scans.
 	Vectorized bool
 	// SharedDeclined counts co-scheduling admissions the batch scheduler
 	// declined for this job: potential co-members whose union predicate
@@ -226,7 +226,7 @@ type PruneReport struct {
 
 // String renders a one-line summary.
 func (r PruneReport) String() string {
-	exec := "scalar"
+	exec := "record-at-a-time"
 	if r.Vectorized {
 		exec = "vectorized"
 	}

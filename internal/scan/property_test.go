@@ -235,9 +235,6 @@ func TestPushdownEquivalenceProperty(t *testing.T) {
 			core.SetColumns(conf, proj...)
 			core.SetLazy(conf, lazy)
 			scan.SetPredicate(conf, pred) // serializes through Parse
-			// The vectorize dimension: batch and record-at-a-time execution
-			// must return identical records in identical order.
-			scan.SetVectorize(conf, rng.Intn(2) == 0)
 			in := &core.InputFormat{}
 			splits, err := in.Splits(fs, conf)
 			if err != nil {

@@ -176,30 +176,20 @@ func mergeSortedKeys(a, b []string) []string {
 	return append(out, b[j:]...)
 }
 
-// Evaluator resolves the current record's values for exact predicate
-// evaluation. Beyond plain value access it can answer capability queries a
-// storage layer serves cheaper than materialization — today, map-key
-// existence from a DCSL window dictionary.
+// Evaluator resolves the current record's values for exact per-record
+// predicate evaluation.
 type Evaluator interface {
 	// Value resolves a column name to the current record's value. A nil
 	// value with a nil error represents SQL NULL.
 	Value(column string) (any, error)
-	// HasKey decides whether the map column contains key without
-	// materializing the map value. answered reports whether the store
-	// could decide; when false the caller falls back to Value.
-	HasKey(column, key string) (has, answered bool, err error)
 }
 
-// Getter adapts a plain column-value function to Evaluator (with no cheap
-// capabilities). A nil value with a nil error represents SQL NULL.
+// Getter adapts a plain column-value function to Evaluator. A nil value
+// with a nil error represents SQL NULL.
 type Getter func(column string) (any, error)
 
 // Value implements Evaluator.
 func (g Getter) Value(column string) (any, error) { return g(column) }
-
-// HasKey implements Evaluator: a bare Getter never answers, so key tests
-// fall back to materializing the map.
-func (Getter) HasKey(column, key string) (bool, bool, error) { return false, false, nil }
 
 // StatsFunc resolves a column name to the zone-map statistics of the record
 // group under consideration. Returning nil means "no statistics available",
@@ -216,7 +206,7 @@ type Predicate interface {
 	Eval(ev Evaluator) (bool, error)
 	// VecEval decides the predicate for a whole batch: it returns the
 	// subset of in whose rows match, examining exactly the
-	// (row, subpredicate) pairs the scalar short-circuit order would, so
+	// (row, subpredicate) pairs Eval's short-circuit order would, so
 	// verdicts and errors agree with per-record Eval. in is not mutated.
 	VecEval(src VecSource, in *Selection) (*Selection, error)
 	// Prune decides conservatively whether a record group can contain a
@@ -798,14 +788,6 @@ type keyPred struct {
 }
 
 func (p *keyPred) Eval(ev Evaluator) (bool, error) {
-	// A store that can probe key existence directly (the DCSL window
-	// dictionary: one lookup decides a whole window's key universe, and an
-	// id walk decides one record) answers without building the map.
-	if has, answered, err := ev.HasKey(p.col, p.key); err != nil {
-		return false, err
-	} else if answered {
-		return has, nil
-	}
 	v, err := ev.Value(p.col)
 	if err != nil {
 		return false, err

@@ -12,11 +12,10 @@ import (
 // decoding — further children's columns), OR is bitmap union over the rows
 // the earlier children left undecided.
 //
-// Equivalence with the scalar path is exact on the rows it matters for:
-// VecEval examines exactly the (row, subpredicate) pairs the scalar
+// Equivalence with per-record Eval is exact on the rows it matters for:
+// VecEval examines exactly the (row, subpredicate) pairs Eval's
 // short-circuit order would examine, so nulls, type-mismatch errors, and
-// verdicts all agree with per-record Eval — the property the vectorize
-// on/off test dimension asserts.
+// verdicts all agree — the property TestVectorEvalProperty asserts.
 
 // VecSource provides column vectors for the rows of the current batch. It
 // is the batch analogue of Evaluator: ColVec resolves (and lazily decodes)

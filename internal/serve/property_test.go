@@ -146,9 +146,6 @@ func spJob(rng *rand.Rand, schema *serde.Schema, dataset, out string) *mapred.Jo
 	if rng.Intn(4) == 0 {
 		scan.SetBloom(&conf, false)
 	}
-	if rng.Intn(3) == 0 {
-		scan.SetVectorize(&conf, false)
-	}
 
 	job := &mapred.Job{
 		Conf:  conf,

@@ -207,7 +207,8 @@ type TaskStats struct {
 	// VecBatches is the number of column-vector batches the vectorized
 	// execution path built and evaluated; RowsVectorized is the records
 	// those batches covered (each record counted once, however many column
-	// vectors were decoded for it). Both are zero on the scalar path.
+	// vectors were decoded for it). Both are zero for predicate-free,
+	// aggregate-free scans, which read record at a time.
 	VecBatches     int64
 	RowsVectorized int64
 	// VecCacheHits is the number of per-column decoded vectors a session's
@@ -219,8 +220,8 @@ type TaskStats struct {
 	// AggBatches is the number of vector batches an aggregation pushdown
 	// folded straight from selection bitmaps and column vectors;
 	// RowsAggregated is the rows folded into aggregate state at any fold
-	// site (batch, stats shortcut, or scalar) — none of them ever became a
-	// record object.
+	// site (batch, stats shortcut, or per-record fold) — none of them ever
+	// became a record object.
 	AggBatches     int64
 	RowsAggregated int64
 	// AggGroupsShortcut is the number of record groups an aggregation
